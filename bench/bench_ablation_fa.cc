@@ -14,10 +14,8 @@
 
 #include "bench_common.hh"
 #include "common/table.hh"
-#include "fa/auth.hh"
 #include "fa/fa_pipeline.hh"
-#include "image/ops.hh"
-#include "vj/train.hh"
+#include "fa/models.hh"
 
 using namespace incam;
 
@@ -35,44 +33,7 @@ main()
     vc.seed = 99;
     const SecurityVideo video(vc);
 
-    FaceDatasetConfig dc;
-    dc.identities = 24;
-    dc.per_identity = 20;
-    dc.size = 20;
-    dc.hard = false;
-    dc.framing_jitter = 0.15;
-    dc.seed = 7;
-    TrainConfig tc;
-    tc.epochs = 120;
-    const AuthNet auth =
-        trainAuthNet(FaceDataset::generate(dc), vc.enrolled_identity,
-                     MlpTopology{{400, 8, 1}}, tc);
-
-    Rng rng(31);
-    std::vector<ImageU8> positives;
-    for (int i = 0; i < 250; ++i) {
-        positives.push_back(toU8(renderFace(
-            identityParams(rng.below(40)), easyVariation(rng), 20)));
-    }
-    const SecurityVideo *vptr = &video;
-    const NegativeSource negatives = [vptr](Rng &r) {
-        if (r.chance(0.5)) {
-            return toU8(renderDistractor(r.next(), 20));
-        }
-        const VideoFrame f = vptr->frame(static_cast<int>(r.below(40)));
-        const int side = 20 + static_cast<int>(r.below(40));
-        const int x = static_cast<int>(r.below(f.image.width() - side));
-        const int y = static_cast<int>(r.below(f.image.height() - side));
-        return resizeNearest(crop(f.image, Rect{x, y, side, side}), 20,
-                             20);
-    };
-    CascadeTrainConfig ctc;
-    ctc.max_features = 700;
-    ctc.max_stages = 6;
-    ctc.max_stumps_per_stage = 12;
-    ctc.negatives_per_stage = 400;
-    ctc.seed = 11;
-    const Cascade cascade = CascadeTrainer(ctc).train(positives, negatives);
+    const FaModels models = trainFaModels(video);
 
     TableWriter table({"adaptive step", "VJ E/frame (uJ)",
                        "NN infs", "total E/frame (uJ)",
@@ -82,7 +43,7 @@ main()
         cfg.detector.min_neighbors = 1;
         cfg.detector.adaptive_step = true;
         cfg.detector.adaptive_frac = frac;
-        FaCameraSim sim(cfg, &cascade, auth.net);
+        FaCameraSim sim(cfg, &models.cascade, models.auth.net);
         const FaRunResult res = sim.run(video);
         const double vj_per_frame =
             res.counts.vj_frames

@@ -49,8 +49,8 @@ makeScenes(int count, uint64_t seed)
         Scene s;
         s.face = Rect{static_cast<int>(rng.below(160 - side)),
                       static_cast<int>(rng.below(120 - side)), side, side};
-        renderFaceInto(img, identityParams(100 + rng.below(50)),
-                       easyVariation(rng), s.face);
+        const FaceParams id = identityParams(100 + rng.below(50));
+        renderFaceInto(img, id, easyVariation(rng), s.face);
         s.image = toU8(img);
         scenes.push_back(std::move(s));
     }
@@ -113,8 +113,8 @@ main()
     Rng rng(31);
     std::vector<ImageU8> positives;
     for (int i = 0; i < 300; ++i) {
-        positives.push_back(toU8(renderFace(
-            identityParams(rng.below(50)), easyVariation(rng), 20)));
+        const FaceParams id = identityParams(rng.below(50));
+        positives.push_back(toU8(renderFace(id, easyVariation(rng), 20)));
     }
     const NegativeSource negatives = [](Rng &r) {
         return toU8(renderDistractor(r.next(), 20));

@@ -15,11 +15,10 @@
 
 #include <cstdio>
 
-#include "fa/auth.hh"
 #include "fa/fa_pipeline.hh"
+#include "fa/models.hh"
 #include "image/image_io.hh"
 #include "image/ops.hh"
-#include "vj/train.hh"
 
 using namespace incam;
 
@@ -39,62 +38,22 @@ main()
                 video.frameCount(), video.faceFrames(),
                 video.motionFrames());
 
-    // --- train the authenticator ---------------------------------------
-    FaceDatasetConfig dc;
-    dc.identities = 24;
-    dc.per_identity = 20;
-    dc.size = 20;
-    dc.hard = false;
-    dc.framing_jitter = 0.15;
-    dc.seed = 7;
-    TrainConfig tc;
-    tc.epochs = 120;
-    std::printf("training 400-8-1 authentication net...\n");
-    const AuthNet auth = trainAuthNet(FaceDataset::generate(dc),
-                                      vc.enrolled_identity,
-                                      MlpTopology{{400, 8, 1}}, tc);
+    // --- commission: train the authenticator and the face detector -----
+    std::printf("training 400-8-1 authentication net and Viola-Jones "
+                "cascade...\n");
+    const FaModels models = trainFaModels(video);
     std::printf("  held-out classification error: %.2f%% (paper: 5.9%%)\n",
-                100.0 * auth.test_error);
-
-    // --- train the face-detection cascade ------------------------------
-    std::printf("training Viola-Jones cascade...\n");
-    Rng rng(31);
-    std::vector<ImageU8> positives;
-    for (int i = 0; i < 250; ++i) {
-        positives.push_back(toU8(renderFace(
-            identityParams(rng.below(40)), easyVariation(rng), 20)));
-    }
-    const SecurityVideo *vptr = &video;
-    const NegativeSource negatives = [vptr](Rng &r) {
-        if (r.chance(0.5)) {
-            return toU8(renderDistractor(r.next(), 20));
-        }
-        const VideoFrame f = vptr->frame(static_cast<int>(r.below(40)));
-        const int side = 20 + static_cast<int>(r.below(40));
-        const int x = static_cast<int>(r.below(f.image.width() - side));
-        const int y = static_cast<int>(r.below(f.image.height() - side));
-        return resizeNearest(crop(f.image, Rect{x, y, side, side}), 20,
-                             20);
-    };
-    CascadeTrainConfig cc;
-    cc.max_features = 700;
-    cc.max_stages = 6;
-    cc.max_stumps_per_stage = 12;
-    cc.negatives_per_stage = 400;
-    cc.seed = 11;
-    CascadeTrainReport report;
-    const Cascade cascade =
-        CascadeTrainer(cc).train(positives, negatives, &report);
+                100.0 * models.auth.test_error);
     std::printf("  %d stages, %zu stumps, training TPR %.1f%%\n",
-                report.stages, report.total_stumps,
-                100.0 * report.final_tpr);
+                models.report.stages, models.report.total_stumps,
+                100.0 * models.report.final_tpr);
 
     // --- run the camera -------------------------------------------------
     FaConfig cfg;
     cfg.detector.min_neighbors = 1;
     cfg.detector.adaptive_step = true;
     cfg.detector.adaptive_frac = 0.1;
-    FaCameraSim sim(cfg, &cascade, auth.net);
+    FaCameraSim sim(cfg, &models.cascade, models.auth.net);
     std::printf("\nrunning the pipeline over %d frames...\n",
                 video.frameCount());
     const FaRunResult res = sim.run(video);
@@ -140,7 +99,7 @@ main()
     // --- contact sheet ---------------------------------------------------
     int written = 0;
     DetectorParams dp = cfg.detector;
-    const Detector detector(cascade, dp);
+    const Detector detector(models.cascade, dp);
     for (int f = 0; f < video.frameCount() && written < 4; ++f) {
         if (!video.truth(f).has_face) {
             continue;

@@ -1,7 +1,5 @@
 #include "obs/metrics.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace incam {
@@ -12,18 +10,13 @@ MetricsRegistry::findOrCreate(const std::string &name,
                               const std::string &label, MetricKind kind)
 {
     MutexLock lk(mu);
-    for (Entry &e : entries) {
-        if (e.name == name && e.label == label) {
-            incam_assert(e.kind == kind, "metric '", name, "'/'", label,
-                         "' registered twice with different kinds");
-            return e;
-        }
+    const auto [it, created] = entries.try_emplace({name, label});
+    Entry &e = it->second;
+    if (created) {
+        e.kind = kind;
     }
-    entries.emplace_back();
-    Entry &e = entries.back();
-    e.name = name;
-    e.label = label;
-    e.kind = kind;
+    incam_assert(e.kind == kind, "metric '", name, "'/'", label,
+                 "' registered twice with different kinds");
     return e;
 }
 
@@ -51,40 +44,32 @@ MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
     MetricsSnapshot snap;
-    {
-        MutexLock lk(mu);
-        snap.values.reserve(entries.size());
-        for (const Entry &e : entries) {
-            MetricValue v;
-            v.name = e.name;
-            v.label = e.label;
-            v.kind = e.kind;
-            switch (e.kind) {
-              case MetricKind::Counter:
-                v.value = e.counter.value();
-                break;
-              case MetricKind::Gauge:
-                v.value = e.gauge.value();
-                break;
-              case MetricKind::Histogram:
-                v.count = e.hist.count();
-                v.value = v.count > 0
-                              ? e.hist.sum() /
-                                    static_cast<double>(v.count)
-                              : 0.0;
-                v.p50 = e.hist.percentile(0.50);
-                v.p95 = e.hist.percentile(0.95);
-                v.p99 = e.hist.percentile(0.99);
-                break;
-            }
-            snap.values.push_back(std::move(v));
+    MutexLock lk(mu);
+    snap.values.reserve(entries.size());
+    for (const auto &[key, e] : entries) {
+        MetricValue v;
+        v.name = key.first;
+        v.label = key.second;
+        v.kind = e.kind;
+        switch (e.kind) {
+          case MetricKind::Counter:
+            v.value = e.counter.value();
+            break;
+          case MetricKind::Gauge:
+            v.value = e.gauge.value();
+            break;
+          case MetricKind::Histogram:
+            v.count = e.hist.count();
+            v.value = v.count > 0
+                          ? e.hist.sum() / static_cast<double>(v.count)
+                          : 0.0;
+            v.p50 = e.hist.percentile(0.50);
+            v.p95 = e.hist.percentile(0.95);
+            v.p99 = e.hist.percentile(0.99);
+            break;
         }
+        snap.values.push_back(std::move(v));
     }
-    std::sort(snap.values.begin(), snap.values.end(),
-              [](const MetricValue &a, const MetricValue &b) {
-                  return a.name != b.name ? a.name < b.name
-                                          : a.label < b.label;
-              });
     return snap;
 }
 

@@ -15,8 +15,9 @@
  * updatable from any thread. LogHistogram handles are single-writer
  * (the registering stage's thread) and must only be read after the
  * run joins — the same contract the runtime's latency accounting
- * already lives by. Registration takes the registry mutex; handles
- * are stable for the registry's lifetime (deque storage).
+ * already lives by. Registration takes the registry mutex and costs
+ * O(log n) in the series count; handles are stable for the registry's
+ * lifetime (map nodes never move).
  *
  * snapshot() returns a value type sorted by (name, label) so exports
  * are deterministic; diff() subtracts counter values pairwise, which
@@ -28,8 +29,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_safety.hh"
@@ -125,9 +127,7 @@ class MetricsRegistry
   private:
     struct Entry
     {
-        std::string name;
-        std::string label;
-        MetricKind kind;
+        MetricKind kind = MetricKind::Counter;
         Counter counter;
         Gauge gauge;
         LogHistogram hist;
@@ -137,8 +137,10 @@ class MetricsRegistry
                         const std::string &label, MetricKind kind);
 
     mutable AnnotatedMutex mu;
-    /** deque: handles stay valid across registrations. */
-    std::deque<Entry> entries INCAM_GUARDED_BY(mu);
+    /** Keyed by (name, label): iterates in snapshot order, and node
+     *  storage keeps handles valid across registrations. */
+    std::map<std::pair<std::string, std::string>, Entry>
+        entries INCAM_GUARDED_BY(mu);
 };
 
 } // namespace obs

@@ -66,10 +66,7 @@ SimEngine::run()
                 break; // superseded by a later submit/departure
             }
             link.advanceTo(ev.t);
-            for (const SimLink::Completion &c : link.takeCompleted()) {
-                resolveAttempt(cams[static_cast<size_t>(c.endpoint)],
-                               c.depart_t, c.energy);
-            }
+            resolveCompleted();
             scheduleDeparture();
             break;
           }
@@ -177,7 +174,20 @@ SimEngine::startAttempt(Cam &cam, double t)
     ++cam.out.attempts;
     cam.sp->obsTxAttempt(cam.frame, cam.out.attempts);
     link.submit(cam.index, cam.frame.bytes.b(), t);
+    // Settling history can pop another endpoint's departure due at
+    // this very instant; the submit also stales that departure's
+    // queued event, so resolve it now or nothing ever will on time.
+    resolveCompleted();
     scheduleDeparture();
+}
+
+void
+SimEngine::resolveCompleted()
+{
+    for (const SimLink::Completion &c : link.takeCompleted()) {
+        resolveAttempt(cams[static_cast<size_t>(c.endpoint)], c.depart_t,
+                       c.energy);
+    }
 }
 
 void

@@ -139,6 +139,9 @@ class SimEngine
     void countingDelivery(Cam &cam);
     void startAttempt(Cam &cam, double t);
     void resolveAttempt(Cam &cam, double t, Energy energy);
+    /** Resolve every departure the link popped; must follow each link
+     *  call that settles history (advanceTo, submit). */
+    void resolveCompleted();
     void scheduleSource(Cam &cam);
     void scheduleDeparture();
     void finishCamera(Cam &cam);

@@ -9,16 +9,14 @@
 #include <gtest/gtest.h>
 
 #include "core/optimizer.hh"
-#include "fa/auth.hh"
 #include "fa/fa_pipeline.hh"
+#include "fa/models.hh"
 #include "fa/scenario.hh"
-#include "image/ops.hh"
-#include "vj/train.hh"
 
 namespace incam {
 namespace {
 
-/** Everything the camera needs: a video, a cascade, and a trained NN. */
+/** Everything the camera needs: a video and the models trained on it. */
 class FaFixture : public ::testing::Test
 {
   protected:
@@ -32,65 +30,15 @@ class FaFixture : public ::testing::Test
         vc.enrolled_fraction = 0.5;
         vc.seed = 99;
         video = new SecurityVideo(vc);
-
-        // Authentication network on the LFW-substitute dataset.
-        FaceDatasetConfig dc;
-        dc.identities = 24;
-        dc.per_identity = 20;
-        dc.size = 20;
-        dc.hard = false; // cooperative, camera-like variation
-        dc.framing_jitter = 0.15; // robust to detector-box registration
-        dc.seed = 7;
-        const FaceDataset ds = FaceDataset::generate(dc);
-        TrainConfig tc;
-        tc.epochs = 120;
-        auth = new AuthNet(trainAuthNet(
-            ds, vc.enrolled_identity, MlpTopology{{400, 8, 1}}, tc));
-
-        // Face-detection cascade: faces vs distractors and video
-        // background crops.
-        Rng rng(31);
-        std::vector<ImageU8> positives;
-        for (int i = 0; i < 250; ++i) {
-            const FaceParams id = identityParams(rng.below(40));
-            positives.push_back(
-                toU8(renderFace(id, easyVariation(rng), 20)));
-        }
-        const SecurityVideo *v = video;
-        const NegativeSource negatives = [v](Rng &r) {
-            if (r.chance(0.5)) {
-                return toU8(renderDistractor(r.next(), 20));
-            }
-            // Random background windows from empty frames.
-            const VideoFrame f =
-                v->frame(static_cast<int>(r.below(40)));
-            const int side =
-                20 + static_cast<int>(r.below(40));
-            const int x = static_cast<int>(
-                r.below(f.image.width() - side));
-            const int y = static_cast<int>(
-                r.below(f.image.height() - side));
-            return resizeNearest(
-                crop(f.image, Rect{x, y, side, side}), 20, 20);
-        };
-        CascadeTrainConfig cc;
-        cc.max_features = 700;
-        cc.max_stages = 6;
-        cc.max_stumps_per_stage = 12;
-        cc.negatives_per_stage = 400;
-        cc.seed = 11;
-        cascade = new Cascade(
-            CascadeTrainer(cc).train(positives, negatives));
+        models = new FaModels(trainFaModels(*video));
     }
     static void
     TearDownTestSuite()
     {
         delete video;
-        delete auth;
-        delete cascade;
+        delete models;
         video = nullptr;
-        auth = nullptr;
-        cascade = nullptr;
+        models = nullptr;
     }
 
     static FaConfig
@@ -107,17 +55,15 @@ class FaFixture : public ::testing::Test
     }
 
     static SecurityVideo *video;
-    static AuthNet *auth;
-    static Cascade *cascade;
+    static FaModels *models;
 };
 
 SecurityVideo *FaFixture::video = nullptr;
-AuthNet *FaFixture::auth = nullptr;
-Cascade *FaFixture::cascade = nullptr;
+FaModels *FaFixture::models = nullptr;
 
 TEST_F(FaFixture, FunnelNarrowsStageByStage)
 {
-    FaCameraSim sim(fullConfig(), cascade, auth->net);
+    FaCameraSim sim(fullConfig(), &models->cascade, models->auth.net);
     const FaRunResult res = sim.run(*video);
 
     EXPECT_EQ(res.counts.frames, 240u);
@@ -132,7 +78,7 @@ TEST_F(FaFixture, FunnelNarrowsStageByStage)
 
 TEST_F(FaFixture, AuthenticationQualityOnStagedWorkload)
 {
-    FaCameraSim sim(fullConfig(), cascade, auth->net);
+    FaCameraSim sim(fullConfig(), &models->cascade, models->auth.net);
     const FaRunResult res = sim.run(*video);
 
     // The paper reports a 0% *true* miss rate on its staged real-world
@@ -167,11 +113,11 @@ TEST_F(FaFixture, ProgressiveFilteringSavesEnergy)
     FaConfig full = fullConfig();
 
     const FaRunResult r_nn =
-        FaCameraSim(nn_only, nullptr, auth->net).run(*video);
+        FaCameraSim(nn_only, nullptr, models->auth.net).run(*video);
     const FaRunResult r_md =
-        FaCameraSim(md_nn, nullptr, auth->net).run(*video);
+        FaCameraSim(md_nn, nullptr, models->auth.net).run(*video);
     const FaRunResult r_full =
-        FaCameraSim(full, cascade, auth->net).run(*video);
+        FaCameraSim(full, &models->cascade, models->auth.net).run(*video);
 
     // Each added filter slashes NN work...
     EXPECT_LT(r_md.counts.nn_inferences, r_nn.counts.nn_inferences / 2);
@@ -187,8 +133,8 @@ TEST_F(FaFixture, AcceleratorBeatsMicrocontroller)
     FaConfig mcu_cfg = fullConfig();
     mcu_cfg.nn_platform = NnPlatform::Mcu;
 
-    FaCameraSim asic_sim(asic_cfg, cascade, auth->net);
-    FaCameraSim mcu_sim(mcu_cfg, cascade, auth->net);
+    FaCameraSim asic_sim(asic_cfg, &models->cascade, models->auth.net);
+    FaCameraSim mcu_sim(mcu_cfg, &models->cascade, models->auth.net);
 
     // Identical math, very different energy.
     const Energy e_asic = asic_sim.nnInferenceEnergy();
@@ -205,14 +151,14 @@ TEST_F(FaFixture, SubMilliwattAverageAtOneFps)
 {
     // WISPCam captures at 1 FPS; the whole filtered pipeline must
     // average well under a milliwatt there (abstract: "sub-mW range").
-    FaCameraSim sim(fullConfig(), cascade, auth->net);
+    FaCameraSim sim(fullConfig(), &models->cascade, models->auth.net);
     const FaRunResult res = sim.run(*video);
     EXPECT_LT(res.averagePower(FrameRate::fps(1.0)).mw(), 1.0);
 }
 
 TEST_F(FaFixture, HarvestedBudgetSustainsContinuousOperation)
 {
-    FaCameraSim sim(fullConfig(), cascade, auth->net);
+    FaCameraSim sim(fullConfig(), &models->cascade, models->auth.net);
     const FaRunResult res = sim.run(*video);
     // At 3 m from a 4 W reader (~150 uW) the filtered pipeline must
     // sustain at least the WISPCam's 1 FPS.
@@ -230,9 +176,9 @@ TEST_F(FaFixture, BitExactAcrossPlatforms)
     FaConfig mcu_cfg = fullConfig();
     mcu_cfg.nn_platform = NnPlatform::Mcu;
     const FaRunResult a =
-        FaCameraSim(asic_cfg, cascade, auth->net).run(*video);
+        FaCameraSim(asic_cfg, &models->cascade, models->auth.net).run(*video);
     const FaRunResult b =
-        FaCameraSim(mcu_cfg, cascade, auth->net).run(*video);
+        FaCameraSim(mcu_cfg, &models->cascade, models->auth.net).run(*video);
     EXPECT_EQ(a.counts.authenticated_frames,
               b.counts.authenticated_frames);
     EXPECT_EQ(a.auth.tp, b.auth.tp);
@@ -250,11 +196,11 @@ TEST_F(FaFixture, CorePipelineOptimizerAgreesWithPaper)
     FaConfig scan_mcu_cfg = scan_cfg;
     scan_mcu_cfg.nn_platform = NnPlatform::Mcu;
     const FaRunResult r_full =
-        FaCameraSim(full, cascade, auth->net).run(*video);
+        FaCameraSim(full, &models->cascade, models->auth.net).run(*video);
     const FaRunResult r_scan =
-        FaCameraSim(scan_cfg, nullptr, auth->net).run(*video);
+        FaCameraSim(scan_cfg, nullptr, models->auth.net).run(*video);
     const FaRunResult r_scan_mcu =
-        FaCameraSim(scan_mcu_cfg, nullptr, auth->net).run(*video);
+        FaCameraSim(scan_mcu_cfg, nullptr, models->auth.net).run(*video);
 
     const FaMeasurements m = measureFa(r_full, r_scan, r_scan_mcu,
                                        video->cfg(), full.nn_input);
@@ -291,11 +237,11 @@ TEST_F(FaFixture, MeasurementsAreInternallyConsistent)
     FaConfig scan_mcu_cfg = scan_cfg;
     scan_mcu_cfg.nn_platform = NnPlatform::Mcu;
     const FaRunResult r_full =
-        FaCameraSim(full, cascade, auth->net).run(*video);
+        FaCameraSim(full, &models->cascade, models->auth.net).run(*video);
     const FaRunResult r_scan =
-        FaCameraSim(scan_cfg, nullptr, auth->net).run(*video);
+        FaCameraSim(scan_cfg, nullptr, models->auth.net).run(*video);
     const FaRunResult r_scan_mcu =
-        FaCameraSim(scan_mcu_cfg, nullptr, auth->net).run(*video);
+        FaCameraSim(scan_mcu_cfg, nullptr, models->auth.net).run(*video);
     const FaMeasurements m = measureFa(r_full, r_scan, r_scan_mcu,
                                        video->cfg(), full.nn_input);
 

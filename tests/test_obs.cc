@@ -203,16 +203,35 @@ TEST(ObsMetrics, SnapshotDiffAndFind)
 
     // Snapshots are (name, label) sorted — the export-determinism
     // precondition.
-    for (size_t i = 1; i < after.values.size(); ++i) {
-        const obs::MetricValue &p = after.values[i - 1];
-        const obs::MetricValue &c = after.values[i];
-        EXPECT_TRUE(p.name < c.name ||
-                    (p.name == c.name && p.label < c.label));
-    }
+    const auto expect_sorted = [](const obs::MetricsSnapshot &snap) {
+        for (size_t i = 1; i < snap.values.size(); ++i) {
+            const obs::MetricValue &p = snap.values[i - 1];
+            const obs::MetricValue &c = snap.values[i];
+            EXPECT_TRUE(p.name < c.name ||
+                        (p.name == c.name && p.label < c.label));
+        }
+    };
+    expect_sorted(after);
 
     // find-or-create returns the same handle, not a new series.
     EXPECT_EQ(&reg.counter("frames", "cam0"), &frames);
     EXPECT_EQ(after.values.size(), 4u);
+
+    // A fleet's worth of labels, registered out of order: earlier
+    // handles stay valid and snapshots stay sorted.
+    constexpr int kCameras = 4000;
+    for (int i = 0; i < kCameras; ++i) {
+        const int cam = (i * 7919) % kCameras; // a permutation
+        reg.counter("bulk", "cam" + std::to_string(cam)).add(cam);
+    }
+    EXPECT_EQ(&reg.counter("frames", "cam0"), &frames);
+    EXPECT_EQ(&reg.gauge("depth"), &depth);
+    const obs::MetricsSnapshot fleet = reg.snapshot();
+    EXPECT_EQ(fleet.values.size(), 4u + kCameras);
+    expect_sorted(fleet);
+    const obs::MetricValue *b = fleet.find("bulk", "cam1234");
+    ASSERT_NE(b, nullptr);
+    EXPECT_DOUBLE_EQ(b->value, 1234.0);
 }
 
 // ---------------------------------------------------------------------

@@ -627,6 +627,50 @@ TEST(Sim, WeightedPacedSharesFollowWeightsDiscreteEvent)
                 3.0, 0.15);
 }
 
+TEST(Sim, PacedRetryWaitsCompleteAtEveryFleetSize)
+{
+    // A paced fleet whose lost attempts wait before retrying: a submit
+    // settling the link can pop another camera's departure due at that
+    // instant. Left for a later departure event, it resolved into the
+    // past and tripped SimLink's order assert — first at 22 cameras,
+    // then at 61 of the 128 sizes swept here and at 1,000.
+    const Pipeline fa_large = buildFaPipeline(nominalFaMeasurements());
+    const Pipeline fa_small =
+        buildFaPipeline(nominalFaMeasurements(128, 96, 18));
+    FaultPlan plan;
+    plan.seed = 5;
+    plan.tx_loss = 0.1;
+    const FaultInjector faults(plan);
+    FleetOptions opts;
+    opts.gating = GatingMode::None;
+    opts.faults = &faults;
+    opts.delivery.max_retries = 2;
+    opts.delivery.ack_timeout = 0.02;
+    opts.delivery.backoff_base = 0.05;
+    constexpr int64_t kFrames = 20;
+
+    std::vector<int> sizes;
+    for (int n = 1; n <= 128; ++n) {
+        sizes.push_back(n);
+    }
+    sizes.push_back(1000);
+    for (const int n : sizes) {
+        CameraFleet fleet(backscatterUplink(), opts);
+        for (int i = 0; i < n; ++i) {
+            const Pipeline &p = i % 2 == 0 ? fa_large : fa_small;
+            FleetCamera cam("wisp" + std::to_string(i), p,
+                            PipelineConfig::full(p, Impl::Asic, 2));
+            cam.frames = kFrames;
+            fleet.addCamera(std::move(cam));
+        }
+        RunOptions ro;
+        ro.mode = ExecutionMode::DiscreteEvent;
+        const FleetRunReport rep = fleet.run(ro);
+        EXPECT_TRUE(rep.ledger.consistent()) << n << " cameras";
+        EXPECT_EQ(rep.ledger.offered, n * kFrames) << n << " cameras";
+    }
+}
+
 TEST(Sim, ScalesFarBeyondTheThreadPoolCap)
 {
     // 256 cameras — 4x the thread pool's ceiling — on one event loop.
