@@ -1,11 +1,27 @@
 #include "vj/cascade.hh"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.hh"
 
 namespace incam {
+
+namespace {
+
+/** Narrow a parsed field to int8_t; fatal when it is out of range. */
+int8_t
+narrowInt8(int v)
+{
+    if (v < std::numeric_limits<int8_t>::min() ||
+        v > std::numeric_limits<int8_t>::max()) {
+        incam_fatal("cascade field ", v, " out of int8 range");
+    }
+    return static_cast<int8_t>(v);
+}
+
+} // namespace
 
 Cascade::Cascade(int base_size, std::vector<HaarFeature> features,
                  std::vector<CascadeStage> stages)
@@ -13,6 +29,23 @@ Cascade::Cascade(int base_size, std::vector<HaarFeature> features,
       stage_list(std::move(stages))
 {
     incam_assert(base >= 8, "base window too small");
+    for (size_t i = 0; i < feature_list.size(); ++i) {
+        const HaarFeature &f = feature_list[i];
+        incam_assert(f.n_rects >= 1 && f.n_rects <= 3, "feature ", i,
+                     " has ", static_cast<int>(f.n_rects), " rectangles");
+        for (int r = 0; r < f.n_rects; ++r) {
+            const WeightedRect &rect = f.rects[r];
+            incam_assert(rect.w >= 1 && rect.h >= 1 && rect.x >= 0 &&
+                             rect.y >= 0 && rect.x + rect.w <= base &&
+                             rect.y + rect.h <= base,
+                         "feature ", i, " rectangle (",
+                         static_cast<int>(rect.x), ",",
+                         static_cast<int>(rect.y), ",",
+                         static_cast<int>(rect.w), ",",
+                         static_cast<int>(rect.h), ") outside the ", base,
+                         "-pixel base window");
+        }
+    }
     for (const auto &stage : stage_list) {
         incam_assert(!stage.stumps.empty(), "a stage needs >= 1 stump");
         for (const auto &stump : stage.stumps) {
@@ -23,6 +56,7 @@ Cascade::Cascade(int base_size, std::vector<HaarFeature> features,
                          " outside the table");
         }
     }
+    unit_scale = ScaledCascade(*this, 1.0);
 }
 
 size_t
@@ -35,16 +69,31 @@ Cascade::stumpCount() const
     return n;
 }
 
+ScaledCascade::ScaledCascade(const Cascade &cascade, double scale)
+    : window_size(static_cast<int>(std::lround(cascade.baseSize() * scale)))
+{
+    stage_list.reserve(cascade.stages().size());
+    for (const auto &stage : cascade.stages()) {
+        Stage &out = stage_list.emplace_back();
+        out.threshold = stage.threshold;
+        out.stumps.reserve(stage.stumps.size());
+        for (const auto &stump : stage.stumps) {
+            out.stumps.push_back(
+                {stump,
+                 ScaledFeature(cascade.features()[stump.feature], scale)});
+        }
+    }
+}
+
 bool
-Cascade::classifyWindow(const IntegralImage &ii, int wx, int wy,
-                        double scale, CascadeStats *stats) const
+ScaledCascade::classify(const IntegralImage &ii, int wx, int wy,
+                        CascadeStats *stats) const
 {
     incam_assert(!stage_list.empty(), "classify on an untrained cascade");
     if (stats) {
         ++stats->windows;
     }
-    const int window = static_cast<int>(std::lround(base * scale));
-    const double inv_norm = windowInvNorm(ii, wx, wy, window);
+    const double inv_norm = windowInvNorm(ii, wx, wy, window_size);
 
     for (const auto &stage : stage_list) {
         if (stats) {
@@ -52,9 +101,8 @@ Cascade::classifyWindow(const IntegralImage &ii, int wx, int wy,
             stats->features_evaluated += stage.stumps.size();
         }
         double votes = 0.0;
-        for (const auto &stump : stage.stumps) {
-            const double v = feature_list[stump.feature].evaluate(
-                ii, wx, wy, scale, inv_norm);
+        for (const auto &[stump, feature] : stage.stumps) {
+            const double v = feature.evaluate(ii, wx, wy, inv_norm);
             const bool fire = stump.polarity > 0 ? v < stump.threshold
                                                  : v >= stump.threshold;
             if (fire) {
@@ -78,7 +126,7 @@ Cascade::classifyCrop(const ImageU8 &crop, CascadeStats *stats) const
                  "crop must match the base window (", base, "), got ",
                  crop.width(), "x", crop.height());
     const IntegralImage ii(crop);
-    return classifyWindow(ii, 0, 0, 1.0, stats);
+    return unit_scale.classify(ii, 0, 0, stats);
 }
 
 std::string
@@ -124,17 +172,19 @@ Cascade::deserialize(const std::string &text)
     for (auto &f : features) {
         int kind = 0, n_rects = 0;
         is >> kind >> n_rects;
-        if (!is || n_rects < 1 || n_rects > 3) {
+        if (!is || kind < 0 ||
+            kind > static_cast<int>(HaarFeature::Kind::Center4) ||
+            n_rects < 1 || n_rects > 3) {
             incam_fatal("bad cascade feature record");
         }
         f.kind = static_cast<HaarFeature::Kind>(kind);
         f.n_rects = static_cast<uint8_t>(n_rects);
         for (int r = 0; r < n_rects; ++r) {
-            int x, y, w, h, weight;
+            int x = 0, y = 0, w = 0, h = 0, weight = 0;
             is >> x >> y >> w >> h >> weight;
-            f.rects[r] = {static_cast<int8_t>(x), static_cast<int8_t>(y),
-                          static_cast<int8_t>(w), static_cast<int8_t>(h),
-                          static_cast<int8_t>(weight)};
+            f.rects[r] = {narrowInt8(x), narrowInt8(y),
+                          narrowInt8(w), narrowInt8(h),
+                          narrowInt8(weight)};
         }
     }
     std::vector<CascadeStage> stages(n_stages);
@@ -146,9 +196,9 @@ Cascade::deserialize(const std::string &text)
         }
         stage.stumps.resize(n_stumps);
         for (auto &s : stage.stumps) {
-            int polarity;
+            int polarity = 0;
             is >> s.feature >> s.threshold >> polarity >> s.alpha;
-            s.polarity = static_cast<int8_t>(polarity);
+            s.polarity = narrowInt8(polarity);
         }
     }
     if (!is) {

@@ -63,11 +63,57 @@ struct CascadeStats
     }
 };
 
+class Cascade;
+
+/**
+ * A cascade's stages with every stump's feature scaled for one window
+ * size (ScaledFeature). Detector::rawHits builds one per scan scale and
+ * shares it read-only across its row bands, so what stays per window is
+ * the variance normalization, four lookups per rectangle and the
+ * image-edge clamp.
+ */
+class ScaledCascade
+{
+  public:
+    ScaledCascade() = default;
+
+    /** Scale @p cascade's stumps for the window lround(base * scale). */
+    ScaledCascade(const Cascade &cascade, double scale);
+
+    /**
+     * Classify the window at (wx, wy). Early-exits at the first failing
+     * stage; updates @p stats if provided.
+     */
+    bool classify(const IntegralImage &ii, int wx, int wy,
+                  CascadeStats *stats = nullptr) const;
+
+  private:
+    struct ScaledStump
+    {
+        Stump stump;
+        ScaledFeature feature;
+    };
+    struct Stage
+    {
+        std::vector<ScaledStump> stumps;
+        double threshold = 0.0;
+    };
+
+    int window_size = 0;
+    std::vector<Stage> stage_list;
+};
+
 /** A trained cascade over a fixed base window. */
 class Cascade
 {
   public:
     Cascade() = default;
+
+    /**
+     * Panics unless every feature has 1-3 rectangles, each at least one
+     * pixel wide and high and inside the base window, and every stump
+     * names a feature in the table.
+     */
     Cascade(int base_size, std::vector<HaarFeature> features,
             std::vector<CascadeStage> stages);
 
@@ -78,14 +124,6 @@ class Cascade
 
     /** Total stumps across all stages. */
     size_t stumpCount() const;
-
-    /**
-     * Classify the window at (wx, wy) with side window_size =
-     * base * scale. Early-exits at the first failing stage; updates
-     * @p stats if provided.
-     */
-    bool classifyWindow(const IntegralImage &ii, int wx, int wy,
-                        double scale, CascadeStats *stats = nullptr) const;
 
     /** Classify a full crop equal to the base window size. */
     bool classifyCrop(const ImageU8 &crop,
@@ -101,6 +139,7 @@ class Cascade
     int base = 20;
     std::vector<HaarFeature> feature_list;
     std::vector<CascadeStage> stage_list;
+    ScaledCascade unit_scale; ///< the stages at scale 1, for classifyCrop
 };
 
 } // namespace incam

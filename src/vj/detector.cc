@@ -56,6 +56,9 @@ Detector::rawHits(const ImageU8 &gray, CascadeStats *stats) const
     std::vector<Rect> hits;
 
     for (const ScanScale &s : scanScales(gray.width(), gray.height())) {
+        // The cascade scaled for this window size, shared read-only by
+        // every band.
+        const ScaledCascade scaled(model, s.scale);
         // Row-band parallel scan. Hits and stats accumulate per band
         // and merge in band order, so output is identical to the serial
         // row-major scan for every thread count.
@@ -72,8 +75,7 @@ Detector::rawHits(const ImageU8 &gray, CascadeStats *stats) const
                     const int y = static_cast<int>(row) * s.step;
                     for (int col = 0; col < s.nx; ++col) {
                         const int x = col * s.step;
-                        if (model.classifyWindow(ii, x, y, s.scale,
-                                                 lstats)) {
+                        if (scaled.classify(ii, x, y, lstats)) {
                             band_hits[band].push_back(
                                 Rect{x, y, s.window, s.window});
                         }

@@ -1,5 +1,6 @@
 #include "vj/haar.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -10,30 +11,49 @@ double
 HaarFeature::evaluate(const IntegralImage &ii, int wx, int wy, double scale,
                       double inv_norm) const
 {
-    double value = 0.0;
+    return ScaledFeature(*this, scale).evaluate(ii, wx, wy, inv_norm);
+}
+
+ScaledFeature::ScaledFeature(const HaarFeature &feature, double scale)
+    : n_rects(feature.n_rects)
+{
     for (int r = 0; r < n_rects; ++r) {
-        const WeightedRect &rect = rects[r];
-        // Scale and round the rectangle into image coordinates. Rounding
-        // can push the rect a pixel past the window at large scales;
-        // clamp to the image so the integral lookup stays legal.
-        const int x = wx + static_cast<int>(std::lround(rect.x * scale));
-        const int y = wy + static_cast<int>(std::lround(rect.y * scale));
-        int w = static_cast<int>(std::lround(rect.w * scale));
-        int h = static_cast<int>(std::lround(rect.h * scale));
-        w = std::max(1, w);
-        h = std::max(1, h);
-        if (x >= ii.width() || y >= ii.height()) {
-            continue;
-        }
-        w = std::min(w, ii.width() - x);
-        h = std::min(h, ii.height() - y);
+        const WeightedRect &rect = feature.rects[r];
+        ScaledRect &out = rects[r];
+        out.x = static_cast<int>(std::lround(rect.x * scale));
+        out.y = static_cast<int>(std::lround(rect.y * scale));
+        out.w = std::max(1, static_cast<int>(std::lround(rect.w * scale)));
+        out.h = std::max(1, static_cast<int>(std::lround(rect.h * scale)));
         // Weight compensation: keep the rect's weight-to-area ratio
         // stable under rounding so feature values are scale-comparable.
         const double ideal_area =
             static_cast<double>(rect.w) * rect.h * scale * scale;
-        const double actual_area = static_cast<double>(w) * h;
+        out.weighted_area = static_cast<double>(rect.weight) * ideal_area;
+        out.weight =
+            out.weighted_area / (static_cast<double>(out.w) * out.h);
+    }
+}
+
+double
+ScaledFeature::evaluate(const IntegralImage &ii, int wx, int wy,
+                        double inv_norm) const
+{
+    double value = 0.0;
+    for (int r = 0; r < n_rects; ++r) {
+        const ScaledRect &rect = rects[r];
+        const int x = wx + rect.x;
+        const int y = wy + rect.y;
+        if (x >= ii.width() || y >= ii.height()) {
+            continue;
+        }
+        // Clamp to the image so the integral lookup stays legal; only a
+        // rect the clamp shrinks needs its weight compensated again.
+        const int w = std::min(rect.w, ii.width() - x);
+        const int h = std::min(rect.h, ii.height() - y);
         const double weight =
-            static_cast<double>(rect.weight) * ideal_area / actual_area;
+            w == rect.w && h == rect.h
+                ? rect.weight
+                : rect.weighted_area / (static_cast<double>(w) * h);
         value += weight * static_cast<double>(ii.rectSum(x, y, w, h));
     }
     return value * inv_norm;

@@ -52,14 +52,52 @@ struct HaarFeature
 
     /**
      * Evaluate at window origin (wx, wy) scaled by @p scale, normalized
-     * by @p inv_norm = 1 / (window_area * stddev). Scaling rounds each
-     * rectangle and compensates the weight for area quantization.
+     * by @p inv_norm = 1 / (window_area * stddev): ScaledFeature(*this,
+     * scale).evaluate(...).
      */
     double evaluate(const IntegralImage &ii, int wx, int wy, double scale,
                     double inv_norm) const;
 
     /** Number of integral-image lookups one evaluation performs. */
     int lookupCount() const { return 4 * n_rects; }
+};
+
+/** One rectangle of a ScaledFeature, in pixels relative to the window. */
+struct ScaledRect
+{
+    int x = 0;
+    int y = 0;
+    int w = 1;
+    int h = 1;
+    double weighted_area = 0.0; ///< weight x unrounded scaled area
+    double weight = 0.0;        ///< weighted_area / (w * h)
+};
+
+/**
+ * A HaarFeature rounded for one window size. Each rectangle's offset,
+ * size and area-compensated weight depend only on the scale, so a scan
+ * builds this once per scale and evaluates it at every window.
+ */
+struct ScaledFeature
+{
+    ScaledRect rects[3];
+    int n_rects = 0;
+
+    /**
+     * Round each rectangle of @p feature at @p scale (sizes floor at one
+     * pixel) and compensate its weight for the area quantization, so
+     * feature values stay comparable across scales.
+     */
+    ScaledFeature(const HaarFeature &feature, double scale);
+
+    /**
+     * Evaluate at window origin (wx, wy), normalized by @p inv_norm.
+     * Rounding can push a rectangle a pixel past the window; where that
+     * crosses the image edge the rectangle is clamped to the image and
+     * its weight recompensated for the area it keeps.
+     */
+    double evaluate(const IntegralImage &ii, int wx, int wy,
+                    double inv_norm) const;
 };
 
 /**

@@ -31,10 +31,11 @@ struct FeatureMatrix
             inv_norms.push_back(windowInvNorm(iis.back(), 0, 0, base));
         }
         for (size_t f = 0; f < features.size(); ++f) {
+            const ScaledFeature scaled(features[f], 1.0);
             values[f].resize(n);
             for (size_t s = 0; s < n; ++s) {
                 values[f][s] = static_cast<float>(
-                    features[f].evaluate(iis[s], 0, 0, 1.0, inv_norms[s]));
+                    scaled.evaluate(iis[s], 0, 0, inv_norms[s]));
             }
         }
         order.assign(features.size(), {});
@@ -152,11 +153,13 @@ CascadeTrainer::train(const std::vector<ImageU8> &positives,
     }
 
     std::vector<CascadeStage> stages;
-    Cascade partial(conf.base_size, pool, {});
 
     // Current negative working set, re-mined each stage.
     std::vector<ImageU8> negs;
     auto mineNegatives = [&](int wanted) {
+        // Keep only windows the cascade-so-far still accepts; it is
+        // built (and scaled) once per stage, not once per draw.
+        const Cascade current(conf.base_size, pool, stages);
         int attempts = 0;
         while (static_cast<int>(negs.size()) < wanted &&
                attempts < conf.mining_attempts) {
@@ -165,14 +168,7 @@ CascadeTrainer::train(const std::vector<ImageU8> &positives,
             incam_assert(cand.width() == conf.base_size &&
                              cand.height() == conf.base_size,
                          "negative sample size mismatch");
-            // Keep only windows the cascade-so-far still accepts.
-            bool pass = true;
-            if (!stages.empty()) {
-                const Cascade current(conf.base_size, pool,
-                                      stages); // cheap: shares vectors
-                pass = current.classifyCrop(cand);
-            }
-            if (pass) {
+            if (stages.empty() || current.classifyCrop(cand)) {
                 negs.push_back(std::move(cand));
             }
         }

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <string>
+#include <utility>
+
 #include "common/rng.hh"
 #include "image/ops.hh"
 #include "vj/accel.hh"
@@ -88,6 +94,240 @@ TEST(Haar, EnumerationDeterministicAndStrideThins)
             EXPECT_LE(f.rects[r].y + f.rects[r].h, 20);
         }
     }
+}
+
+// --- The per-scale table against per-window arithmetic --------------------
+
+/**
+ * Reference: one feature scaled and evaluated at one window, rounding
+ * every rectangle there, as the scan did before the per-scale table.
+ * Sets @p clamped when the image edge shrank a rectangle.
+ */
+double
+referenceEvaluate(const HaarFeature &f, const IntegralImage &ii, int wx,
+                  int wy, double scale, double inv_norm, bool *clamped)
+{
+    double value = 0.0;
+    for (int r = 0; r < f.n_rects; ++r) {
+        const WeightedRect &rect = f.rects[r];
+        const int x = wx + static_cast<int>(std::lround(rect.x * scale));
+        const int y = wy + static_cast<int>(std::lround(rect.y * scale));
+        int w = static_cast<int>(std::lround(rect.w * scale));
+        int h = static_cast<int>(std::lround(rect.h * scale));
+        w = std::max(1, w);
+        h = std::max(1, h);
+        if (x >= ii.width() || y >= ii.height()) {
+            continue;
+        }
+        if (w > ii.width() - x || h > ii.height() - y) {
+            *clamped = true;
+        }
+        w = std::min(w, ii.width() - x);
+        h = std::min(h, ii.height() - y);
+        const double ideal_area =
+            static_cast<double>(rect.w) * rect.h * scale * scale;
+        const double actual_area = static_cast<double>(w) * h;
+        const double weight =
+            static_cast<double>(rect.weight) * ideal_area / actual_area;
+        value += weight * static_cast<double>(ii.rectSum(x, y, w, h));
+    }
+    return value * inv_norm;
+}
+
+/** Reference: the cascade on one window, every stage re-scaled there. */
+bool
+referenceClassify(const Cascade &c, const IntegralImage &ii, int wx, int wy,
+                  double scale, CascadeStats &stats, int &clamped)
+{
+    ++stats.windows;
+    const int window = static_cast<int>(std::lround(c.baseSize() * scale));
+    const double inv_norm = windowInvNorm(ii, wx, wy, window);
+    for (const auto &stage : c.stages()) {
+        ++stats.stages_entered;
+        stats.features_evaluated += stage.stumps.size();
+        double votes = 0.0;
+        for (const auto &stump : stage.stumps) {
+            bool edge = false;
+            const double v = referenceEvaluate(c.features()[stump.feature],
+                                               ii, wx, wy, scale, inv_norm,
+                                               &edge);
+            clamped += edge;
+            const bool fire = stump.polarity > 0 ? v < stump.threshold
+                                                 : v >= stump.threshold;
+            if (fire) {
+                votes += stump.alpha;
+            }
+        }
+        if (votes < stage.threshold) {
+            return false;
+        }
+    }
+    ++stats.windows_accepted;
+    return true;
+}
+
+HaarFeature
+makeFeature(HaarFeature::Kind kind, std::initializer_list<WeightedRect> rs)
+{
+    HaarFeature f;
+    f.kind = kind;
+    for (const WeightedRect &r : rs) {
+        f.rects[f.n_rects++] = r;
+    }
+    return f;
+}
+
+/**
+ * Three stages over features whose rectangles reach the base window's
+ * right and bottom edges at odd offsets, so rounding at most scales
+ * pushes some of them a pixel past the window.
+ */
+Cascade
+edgeReachingCascade()
+{
+    using K = HaarFeature::Kind;
+    std::vector<HaarFeature> features = {
+        makeFeature(K::Edge2H, {{0, 0, 10, 20, 1}, {10, 0, 10, 20, -1}}),
+        makeFeature(K::Edge2V, {{1, 3, 19, 7, 1}, {1, 10, 19, 10, -1}}),
+        makeFeature(K::Line3H, {{5, 3, 15, 17, 1}, {10, 3, 5, 17, -3}}),
+        makeFeature(K::Center4, {{2, 2, 18, 18, 1}, {8, 8, 6, 6, -9}}),
+        makeFeature(K::Line3V,
+                    {{1, 1, 19, 6, 1}, {1, 7, 19, 7, -2}, {1, 14, 19, 6, 1}}),
+        makeFeature(K::Edge2H, {{3, 9, 7, 11, 1}, {10, 9, 7, 11, -1}}),
+    };
+    auto stump = [](int feature, double threshold, int8_t polarity,
+                    double alpha) {
+        Stump s;
+        s.feature = feature;
+        s.threshold = threshold;
+        s.polarity = polarity;
+        s.alpha = alpha;
+        return s;
+    };
+    std::vector<CascadeStage> stages(3);
+    stages[0].stumps = {stump(0, 0.0, 1, 1.0), stump(1, 0.0, -1, 1.0)};
+    stages[0].threshold = 1.0;
+    stages[1].stumps = {stump(2, 0.01, 1, 0.7), stump(3, -0.01, -1, 0.9),
+                        stump(4, 0.0, 1, 0.5)};
+    stages[1].threshold = 1.2;
+    stages[2].stumps = {stump(5, 0.0, -1, 1.0), stump(0, 0.02, 1, 1.0)};
+    stages[2].threshold = 1.5;
+    return Cascade(20, std::move(features), std::move(stages));
+}
+
+uint64_t
+bits(double v)
+{
+    return std::bit_cast<uint64_t>(v);
+}
+
+TEST(ScaledCascade, BitIdenticalToPerWindowArithmeticAtImageEdges)
+{
+    const Cascade cascade = edgeReachingCascade();
+    int clamped_windows = 0;
+    int clamped_values = 0;
+    for (const auto &[width, height] : {std::pair{97, 61}, {41, 29}}) {
+        Rng rng(static_cast<uint64_t>(width));
+        ImageU8 gray(width, height, 1);
+        for (auto &v : gray) {
+            v = static_cast<uint8_t>(rng.below(256));
+        }
+        const IntegralImage ii(gray);
+
+        DetectorParams p;
+        p.adaptive_step = false;
+        p.static_step = 1; // the last window of every row and column is
+                           // flush with the image edge
+        p.scale_factor = 1.05;
+        p.max_window_frac = 2.0;
+
+        // Reference scan: row-major, every window re-scales the cascade.
+        std::vector<Rect> want;
+        CascadeStats want_stats;
+        const std::vector<ScanScale> sweep =
+            Detector(cascade, p).scanScales(width, height);
+        for (const ScanScale &s : sweep) {
+            for (int row = 0; row < s.ny; ++row) {
+                for (int col = 0; col < s.nx; ++col) {
+                    const int x = col * s.step;
+                    const int y = row * s.step;
+                    if (referenceClassify(cascade, ii, x, y, s.scale,
+                                          want_stats, clamped_windows)) {
+                        want.push_back(Rect{x, y, s.window, s.window});
+                    }
+                }
+            }
+        }
+        ASSERT_GT(want.size(), 0u);
+        ASSERT_LT(want.size(), want_stats.windows);
+        ASSERT_GT(want_stats.stages_entered, want_stats.windows);
+
+        for (const int threads : {1, 4}) {
+            p.exec = ExecPolicy{threads, 1};
+            CascadeStats got_stats;
+            const std::vector<Rect> got =
+                Detector(cascade, p).rawHits(gray, &got_stats);
+            ASSERT_EQ(got.size(), want.size()) << width << "x" << height;
+            for (size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i], want[i]) << "hit " << i;
+            }
+            EXPECT_EQ(got_stats.windows, want_stats.windows);
+            EXPECT_EQ(got_stats.stages_entered, want_stats.stages_entered);
+            EXPECT_EQ(got_stats.features_evaluated,
+                      want_stats.features_evaluated);
+            EXPECT_EQ(got_stats.windows_accepted,
+                      want_stats.windows_accepted);
+        }
+
+        // Every feature's value at the windows flush with the right and
+        // bottom edges, where rounding can overhang the image.
+        for (const ScanScale &s : sweep) {
+            if (s.nx == 0 || s.ny == 0) {
+                continue;
+            }
+            const int x_edge = (s.nx - 1) * s.step;
+            const int y_edge = (s.ny - 1) * s.step;
+            ASSERT_EQ(x_edge + s.window, width);
+            ASSERT_EQ(y_edge + s.window, height);
+            const std::pair<int, int> origins[] = {
+                {x_edge, 0}, {0, y_edge}, {x_edge, y_edge}};
+            for (const auto &[wx, wy] : origins) {
+                const double inv_norm = windowInvNorm(ii, wx, wy, s.window);
+                for (const HaarFeature &f : cascade.features()) {
+                    bool edge = false;
+                    const double want_v = referenceEvaluate(
+                        f, ii, wx, wy, s.scale, inv_norm, &edge);
+                    clamped_values += edge;
+                    ASSERT_EQ(bits(f.evaluate(ii, wx, wy, s.scale, inv_norm)),
+                              bits(want_v))
+                        << "window " << wx << "," << wy << " side "
+                        << s.window;
+                }
+            }
+        }
+    }
+    // The sweep must reach the clamp, or it proves nothing about it.
+    EXPECT_GT(clamped_windows, 0);
+    EXPECT_GT(clamped_values, 0);
+}
+
+TEST(CascadeDeathTest, RejectsMalformedRectangles)
+{
+    auto text = [](const std::string &rect0) {
+        return "cascade v1 20 1 1\n0 2 " + rect0 +
+               " 10 0 10 20 -1\n1 0.5 0 0 1 1\n";
+    };
+    // The well-formed model loads.
+    EXPECT_EQ(Cascade::deserialize(text("0 0 10 20 1")).stumpCount(), 1u);
+    // x = 200 does not fit the int8 field.
+    EXPECT_DEATH(Cascade::deserialize(text("200 0 10 20 1")),
+                 "field 200 out of int8 range");
+    // A 30-wide rectangle on a 20-pixel base.
+    EXPECT_DEATH(Cascade::deserialize(text("0 0 30 20 1")),
+                 "outside the 20-pixel base window");
+    // A zero-width rectangle.
+    EXPECT_DEATH(Cascade::deserialize(text("0 0 0 20 1")),
+                 "outside the 20-pixel base window");
 }
 
 // --- Shared trained cascade ----------------------------------------------
