@@ -1,8 +1,9 @@
 /**
  * @file
- * Serial-vs-parallel throughput of the four converted hot kernels:
- * bilateral grid (splat + blur + slice), integral-image construction,
- * the Viola-Jones scan, and batched MLP inference.
+ * Serial-vs-parallel throughput of the converted hot kernels:
+ * bilateral grid (splat + blur + slice), BSSA winner-take-all matching,
+ * integral-image construction, the Viola-Jones scan, and batched MLP
+ * inference.
  *
  * Reports per-kernel wall time at 1 thread and at N threads (default 4,
  * overridable with --threads or INCAM_THREADS) plus the speedup, and
@@ -21,10 +22,12 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hh"
 #include "bilateral/grid.hh"
+#include "bilateral/stereo.hh"
 #include "common/rng.hh"
 #include "exec/parallel.hh"
 #include "image/integral.hh"
@@ -150,6 +153,28 @@ benchBilateralGrid(int w, int h, int reps, const ExecPolicy &par)
 }
 
 KernelResult
+benchBssaWta(int w, int h, int reps, const ExecPolicy &par)
+{
+    const ImageF left = randomF(w, h, 66);
+    const ImageF right = randomF(w, h, 77);
+    auto run = [&](const ExecPolicy &pol) {
+        BssaConfig cfg;
+        cfg.exec = pol;
+        std::pair<ImageF, ImageF> out; // disparity, confidence
+        BssaStereo(cfg).wtaDisparity(left, right, out.first, out.second);
+        return out;
+    };
+    KernelResult r{"bssa_wta"};
+    r.serial_ms = bestMs(reps, [&] { run(ExecPolicy::serial()); });
+    r.parallel_ms = bestMs(reps, [&] { run(par); });
+    const auto serial = run(ExecPolicy::serial());
+    const auto threaded = run(par);
+    r.identical = imagesIdentical(serial.first, threaded.first) &&
+                  imagesIdentical(serial.second, threaded.second);
+    return r;
+}
+
+KernelResult
 benchIntegralImage(int w, int h, int reps, const ExecPolicy &par)
 {
     const ImageU8 img = randomU8(w, h, 22);
@@ -258,6 +283,7 @@ main(int argc, char **argv)
     std::vector<KernelResult> results;
     results.push_back(
         benchBilateralGrid(160 * scale, 120 * scale, reps, par));
+    results.push_back(benchBssaWta(160 * scale, 120 * scale, reps, par));
     results.push_back(
         benchIntegralImage(320 * scale, 240 * scale, reps, par));
     results.push_back(benchDetector(160 * scale, 120 * scale, reps, par));

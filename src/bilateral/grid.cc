@@ -71,11 +71,15 @@ struct TrilinearGeom
 
     /**
      * Weights and base vertex index for pixel (x, y) with guide
-     * intensity @p g. Fills wv[8] matching off[8].
+     * intensity @p g. Fills wv[8] matching off[8]. A NaN guide has no
+     * intensity bin, so it panics rather than index off the grid.
      */
     size_t
     vertexWeights(int x, int y, float g, float wv[8]) const
     {
+        if (std::isnan(g)) {
+            incam_panic("guide pixel (", x, ", ", y, ") is NaN");
+        }
         const float fz = std::clamp(g, 0.0f, 1.0f) * bins;
         const int z0 = std::min(static_cast<int>(fz), nz - 2);
         const float tz = fz - static_cast<float>(z0);
@@ -101,6 +105,65 @@ struct TrilinearGeom
                static_cast<size_t>(ylut.lo[y]) * sy + xlut.lo[x];
     }
 };
+
+/**
+ * Vertices per block of the blur stencil. A fixed count lets the
+ * compiler vectorize each block with no epilogue of its own; a row's
+ * last n % kBlurBlock vertices run one at a time.
+ */
+constexpr int kBlurBlock = 8;
+
+/**
+ * The blur stencil, [1 2 1] / 4, vertex by vertex across three rows of
+ * @p n vertices. A y or z pass at a clamped end passes the row itself as
+ * @p lo or @p hi; the x pass passes one row at three offsets. @p out
+ * never overlaps the inputs.
+ */
+void
+stencilRows(const float *__restrict lo, const float *__restrict mid,
+            const float *__restrict hi, float *__restrict out, int n)
+{
+    auto stencil = [&](int i) {
+        out[i] = 0.25f * (lo[i] + 2.0f * mid[i] + hi[i]);
+    };
+    int i = 0;
+    for (; i + kBlurBlock <= n; i += kBlurBlock) {
+        for (int l = 0; l < kBlurBlock; ++l) {
+            stencil(i + l);
+        }
+    }
+    for (; i < n; ++i) {
+        stencil(i);
+    }
+}
+
+/** One output row of the x pass; its two clamped ends sit outside the
+ *  loop. */
+void
+stencilAlongRow(const float *row, float *out, int n)
+{
+    out[0] = 0.25f * (row[0] + 2.0f * row[0] + row[1]);
+    stencilRows(row, row + 1, row + 2, out + 1, n - 2);
+    out[n - 1] = 0.25f * (row[n - 2] + 2.0f * row[n - 1] + row[n - 1]);
+}
+
+/**
+ * A y or z pass over @p count rows of @p n vertices: output row c is
+ * the stencil of input rows c - 1, c and c + 1, the row itself standing
+ * in at either end. Rows sit @p src_stride and @p dst_stride floats
+ * apart.
+ */
+void
+stencilAcrossRows(const float *src, size_t src_stride, float *dst,
+                  size_t dst_stride, int count, int n)
+{
+    for (int c = 0; c < count; ++c) {
+        const float *mid = src + c * src_stride;
+        const float *lo = c > 0 ? mid - src_stride : mid;
+        const float *hi = c < count - 1 ? mid + src_stride : mid;
+        stencilRows(lo, mid, hi, dst + c * dst_stride, n);
+    }
+}
 
 } // namespace
 
@@ -207,40 +270,39 @@ BilateralGrid::splat(const ImageF &guide, const ImageF &value,
 void
 BilateralGrid::blur(GridOpCounts *ops, const ExecPolicy &pol)
 {
-    // Separable [1 2 1] / 4 along x, then y, then z, with clamped ends.
-    // Each pass is a pure map from the previous arrays, so any row
+    // Separable [1 2 1] / 4 along x, then y, then z, with clamped ends:
+    // an end vertex stands in for its missing neighbour. A plane's x
+    // pass goes into a plane-sized buffer and its y pass back; then each
+    // line of rows along z goes through a buffer of its own. Buffers are
+    // per chunk and every output reads only its pass's inputs, so any
     // partitioning yields bit-identical output.
-    std::vector<float> new_val(val.size());
-    std::vector<float> new_wgt(wgt.size());
-    auto pass = [&](int axis) {
-        const int dims[3] = {nx, ny, nz};
-        const size_t strides[3] = {1, static_cast<size_t>(nx),
-                                   static_cast<size_t>(nx) * ny};
-        const int n = dims[axis];
-        const size_t stride = strides[axis];
-        const int64_t planes = static_cast<int64_t>(ny) * nz;
-        parallel_for(0, planes, pol, [&](int64_t p0, int64_t p1) {
-            for (int64_t p = p0; p < p1; ++p) {
-                const int j = static_cast<int>(p % ny);
-                const int k = static_cast<int>(p / ny);
-                size_t idx = index(0, j, k);
-                for (int i = 0; i < nx; ++i, ++idx) {
-                    const int pos = axis == 0 ? i : axis == 1 ? j : k;
-                    const size_t lo = pos > 0 ? idx - stride : idx;
-                    const size_t hi = pos < n - 1 ? idx + stride : idx;
-                    new_val[idx] = 0.25f * (val[lo] + 2.0f * val[idx] +
-                                            val[hi]);
-                    new_wgt[idx] = 0.25f * (wgt[lo] + 2.0f * wgt[idx] +
-                                            wgt[hi]);
+    const size_t row = static_cast<size_t>(nx);
+    const size_t plane = row * ny;
+    float *const arrays[] = {val.data(), wgt.data()};
+    parallel_for(0, nz, pol, [&](int64_t k0, int64_t k1) {
+        std::vector<float> xs(plane);
+        for (float *a : arrays) {
+            for (int64_t k = k0; k < k1; ++k) {
+                float *p = a + k * plane;
+                for (int j = 0; j < ny; ++j) {
+                    stencilAlongRow(p + j * row, xs.data() + j * row, nx);
+                }
+                stencilAcrossRows(xs.data(), row, p, row, ny, nx);
+            }
+        }
+    });
+    parallel_for(0, ny, pol, [&](int64_t j0, int64_t j1) {
+        std::vector<float> zs(row * nz);
+        for (float *a : arrays) {
+            for (int64_t j = j0; j < j1; ++j) {
+                float *line = a + j * row;
+                stencilAcrossRows(line, plane, zs.data(), row, nz, nx);
+                for (int k = 0; k < nz; ++k) {
+                    std::copy_n(zs.data() + k * row, nx, line + k * plane);
                 }
             }
-        });
-        val.swap(new_val);
-        wgt.swap(new_wgt);
-    };
-    pass(0);
-    pass(1);
-    pass(2);
+        }
+    });
     if (ops) {
         ops->blur_vertex_visits += vertexCount() * 3;
     }

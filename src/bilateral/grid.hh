@@ -82,6 +82,7 @@ class BilateralGrid
      * Accumulate @p value into the grid guided by @p guide intensities,
      * weighting each pixel by @p confidence (pass nullptr for weight 1).
      * Trilinear splatting: each pixel feeds its 8 surrounding vertices.
+     * A NaN guide pixel panics, naming the pixel.
      *
      * Parallelized over fixed row bands with per-band grid accumulators
      * merged in band order, so results are bit-identical for every
@@ -91,14 +92,17 @@ class BilateralGrid
                const ImageF *confidence, GridOpCounts *ops = nullptr,
                const ExecPolicy &pol = ExecPolicy::serial());
 
-    /** One separable [1 2 1]/4 blur pass along all three axes. */
+    /**
+     * One separable [1 2 1]/4 blur pass along all three axes; an end
+     * vertex stands in for its missing neighbour.
+     */
     void blur(GridOpCounts *ops = nullptr,
               const ExecPolicy &pol = ExecPolicy::serial());
 
     /**
      * Read the grid back at every pixel of @p guide (trilinear), dividing
      * by the interpolated weight. Zero-weight regions produce
-     * @p fallback.
+     * @p fallback. A NaN guide pixel panics, naming the pixel.
      */
     ImageF slice(const ImageF &guide, float fallback = 0.0f,
                  GridOpCounts *ops = nullptr,

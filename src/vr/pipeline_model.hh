@@ -77,7 +77,10 @@ class VrPipelineModel
         return geom.outputBytes(stage);
     }
 
-    /** Fig. 9: CPU-implementation compute share of each block. */
+    /**
+     * Fig. 9: CPU-implementation compute share of each block. The split
+     * a traced perfbench vr_rig run measures is in docs/performance.md.
+     */
     double cpuShare(VrBlock stage) const;
 
     /** Communication FPS when offloading right after @p cut. */

@@ -6,8 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "bilateral/bilateral_filter.hh"
 #include "bilateral/stereo.hh"
+#include "common/rng.hh"
 #include "image/metrics.hh"
 #include "image/ops.hh"
 #include "workload/stereo_scene.hh"
@@ -288,6 +295,321 @@ TEST(Bssa, HandlesFlatScene)
         EXPECT_GE(v, 0.0f);
         EXPECT_LE(v, 8.0f);
     }
+}
+
+// --- Bit-identity against the per-pixel and per-vertex arithmetic ------
+
+/** 1 and 4 threads at grains 1 and 3; threads 0 follows INCAM_THREADS. */
+const ExecPolicy kPolicies[] = {ExecPolicy{1, 1}, ExecPolicy{1, 3},
+                                ExecPolicy{4, 1}, ExecPolicy{4, 3},
+                                ExecPolicy::parallel(3)};
+
+uint32_t
+bits(float v)
+{
+    return std::bit_cast<uint32_t>(v);
+}
+
+/**
+ * A copy of the per-pixel WTA that BssaStereo::wtaDisparity replaced:
+ * two clamped loads per tap, the taps summed in double in dy-then-dx
+ * order. @p column_first sums dx-then-dy instead, to show the test
+ * images make the order visible.
+ */
+void
+referenceWta(const BssaConfig &conf, const ImageF &left,
+             const ImageF &right, ImageF &disparity, ImageF &confidence,
+             uint64_t *matching_ops, bool column_first = false)
+{
+    const int w = left.width();
+    const int h = left.height();
+    const int r = conf.block_radius;
+    disparity = ImageF(w, h, 1);
+    confidence = ImageF(w, h, 1);
+    for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+            double best = 1e30;
+            double second = 1e30;
+            int best_d = 0;
+            const int d_max = std::min(conf.max_disparity, x);
+            for (int d = 0; d <= d_max; ++d) {
+                double sad = 0.0;
+                for (int a = -r; a <= r; ++a) {
+                    for (int b = -r; b <= r; ++b) {
+                        const int dy = column_first ? b : a;
+                        const int dx = column_first ? a : b;
+                        const float lv = left.atClamped(x + dx, y + dy);
+                        const float rv = right.atClamped(x - d + dx, y + dy);
+                        sad += std::fabs(lv - rv);
+                    }
+                }
+                if (sad < best) {
+                    second = best;
+                    best = sad;
+                    best_d = d;
+                } else if (sad < second) {
+                    second = sad;
+                }
+            }
+            disparity.at(x, y) = static_cast<float>(best_d);
+            const double taps = (2.0 * r + 1.0) * (2.0 * r + 1.0);
+            const double margin = (second - best) / taps;
+            confidence.at(x, y) =
+                static_cast<float>(std::clamp(margin * 12.0, 0.02, 1.0));
+        }
+    }
+    const double taps = (2.0 * r + 1.0) * (2.0 * r + 1.0);
+    *matching_ops += static_cast<uint64_t>(static_cast<double>(w) * h *
+                                           (conf.max_disparity + 1) *
+                                           taps * 3.0);
+}
+
+/** A grid's (value, weight) arrays in index order. */
+struct GridArrays
+{
+    int nx, ny, nz;
+    std::vector<float> val;
+    std::vector<float> wgt;
+
+    explicit GridArrays(const BilateralGrid &g)
+        : nx(g.gx()), ny(g.gy()), nz(g.gz())
+    {
+        for (int k = 0; k < nz; ++k) {
+            for (int j = 0; j < ny; ++j) {
+                for (int i = 0; i < nx; ++i) {
+                    val.push_back(g.vertexValue(i, j, k));
+                    wgt.push_back(g.vertexWeight(i, j, k));
+                }
+            }
+        }
+    }
+
+    void
+    storeInto(BilateralGrid &g) const
+    {
+        size_t idx = 0;
+        for (int k = 0; k < nz; ++k) {
+            for (int j = 0; j < ny; ++j) {
+                for (int i = 0; i < nx; ++i, ++idx) {
+                    g.setVertex(i, j, k, val[idx], wgt[idx]);
+                }
+            }
+        }
+    }
+};
+
+/**
+ * A copy of the per-vertex blur that BilateralGrid::blur replaced: an
+ * axis ternary and two clamped-end branches per vertex.
+ */
+void
+referenceBlur(GridArrays &g)
+{
+    std::vector<float> new_val(g.val.size());
+    std::vector<float> new_wgt(g.wgt.size());
+    auto pass = [&](int axis) {
+        const int dims[3] = {g.nx, g.ny, g.nz};
+        const size_t strides[3] = {1, static_cast<size_t>(g.nx),
+                                   static_cast<size_t>(g.nx) * g.ny};
+        const int n = dims[axis];
+        const size_t stride = strides[axis];
+        for (int k = 0; k < g.nz; ++k) {
+            for (int j = 0; j < g.ny; ++j) {
+                size_t idx = (static_cast<size_t>(k) * g.ny + j) * g.nx;
+                for (int i = 0; i < g.nx; ++i, ++idx) {
+                    const int pos = axis == 0 ? i : axis == 1 ? j : k;
+                    const size_t lo = pos > 0 ? idx - stride : idx;
+                    const size_t hi = pos < n - 1 ? idx + stride : idx;
+                    new_val[idx] = 0.25f * (g.val[lo] + 2.0f * g.val[idx] +
+                                            g.val[hi]);
+                    new_wgt[idx] = 0.25f * (g.wgt[lo] + 2.0f * g.wgt[idx] +
+                                            g.wgt[hi]);
+                }
+            }
+        }
+        g.val.swap(new_val);
+        g.wgt.swap(new_wgt);
+    };
+    pass(0);
+    pass(1);
+    pass(2);
+}
+
+/**
+ * Pixels of exactly 0.5 mixed with pixels near 1e-17 and exact zeros.
+ * A window's |L - R| terms then differ by far more than double precision
+ * spans, so the order of the sum decides which small terms survive, and
+ * disparities whose 0.5 terms tie are told apart by those bits alone.
+ */
+ImageF
+mixedMagnitudes(int w, int h, uint64_t seed)
+{
+    Rng rng(seed);
+    ImageF img(w, h, 1);
+    for (float &v : img) {
+        const uint64_t kind = rng.below(3);
+        v = kind == 0   ? 0.5f
+            : kind == 1 ? static_cast<float>(1e-17 * (1.0 + 5.0 *
+                                                      rng.uniform()))
+                        : 0.0f;
+    }
+    return img;
+}
+
+void
+expectBitIdentical(const ImageF &want, const ImageF &got,
+                   const std::string &what)
+{
+    ASSERT_TRUE(want.sameShape(got)) << what;
+    for (int y = 0; y < want.height(); ++y) {
+        for (int x = 0; x < want.width(); ++x) {
+            ASSERT_EQ(bits(want.at(x, y)), bits(got.at(x, y)))
+                << what << " pixel " << x << "," << y;
+        }
+    }
+}
+
+TEST(BssaBitIdentity, WtaMatchesPerPixelArithmetic)
+{
+    struct Shape
+    {
+        int w, h;
+    };
+    // Narrower than the disparity range, not a multiple of the 8-column
+    // block, one row, and one block wide.
+    const Shape shapes[] = {{13, 9}, {37, 11}, {29, 1}, {8, 4}};
+    int order_visible = 0;
+    uint64_t seed = 1;
+    for (const Shape &sh : shapes) {
+        const ImageF left = mixedMagnitudes(sh.w, sh.h, seed++);
+        const ImageF right = mixedMagnitudes(sh.w, sh.h, seed++);
+        for (int radius = 0; radius <= 2; ++radius) {
+            BssaConfig cfg;
+            cfg.max_disparity = 24;
+            cfg.block_radius = radius;
+            ImageF want_disp, want_conf;
+            uint64_t want_ops = 0;
+            referenceWta(cfg, left, right, want_disp, want_conf, &want_ops);
+            ImageF col_disp, col_conf;
+            uint64_t col_ops = 0;
+            referenceWta(cfg, left, right, col_disp, col_conf, &col_ops,
+                         true);
+            for (int p = 0; p < want_disp.height(); ++p) {
+                for (int x = 0; x < want_disp.width(); ++x) {
+                    order_visible +=
+                        bits(want_disp.at(x, p)) != bits(col_disp.at(x, p));
+                }
+            }
+            for (const ExecPolicy pol : kPolicies) {
+                cfg.exec = pol;
+                ImageF disp, conf;
+                uint64_t ops = 0;
+                BssaStereo(cfg).wtaDisparity(left, right, disp, conf, &ops);
+                const std::string what =
+                    std::to_string(sh.w) + "x" + std::to_string(sh.h) +
+                    " r" + std::to_string(radius) + " threads " +
+                    std::to_string(pol.threads) + " grain " +
+                    std::to_string(pol.grain);
+                expectBitIdentical(want_disp, disp, "disparity " + what);
+                expectBitIdentical(want_conf, conf, "confidence " + what);
+                EXPECT_EQ(ops, want_ops) << what;
+            }
+        }
+    }
+    // A column-first sum must change some disparity, or the images
+    // prove nothing about the summation order.
+    EXPECT_GT(order_visible, 0);
+}
+
+TEST(BssaBitIdentity, BlurMatchesPerVertexArithmetic)
+{
+    struct Dims
+    {
+        int w, h, bins;
+        double cell;
+    };
+    // Grids of 2x2x3, 3x2x3, 2x5x4, 9x7x6 and a VR pair's 25x37x17.
+    const Dims dims[] = {
+        {1, 1, 2, 1.0}, {2, 1, 2, 1.0}, {1, 4, 3, 1.0},
+        {31, 23, 5, 4.0}, {96, 144, 16, 4.0}};
+    uint64_t seed = 100;
+    for (const Dims &dm : dims) {
+        BilateralGrid start(dm.w, dm.h, dm.cell, dm.bins);
+        Rng rng(seed++);
+        for (int k = 0; k < start.gz(); ++k) {
+            for (int j = 0; j < start.gy(); ++j) {
+                for (int i = 0; i < start.gx(); ++i) {
+                    const float v = static_cast<float>(rng.uniform());
+                    const float t = static_cast<float>(
+                        rng.below(2) ? 1e-17 * rng.uniform() : v);
+                    start.setVertex(i, j, k, v, t);
+                }
+            }
+        }
+        GridArrays want(start);
+        for (int round = 0; round < 3; ++round) {
+            referenceBlur(want);
+        }
+        for (const ExecPolicy pol : kPolicies) {
+            BilateralGrid g = start;
+            GridOpCounts ops;
+            for (int round = 0; round < 3; ++round) {
+                g.blur(&ops, pol);
+            }
+            EXPECT_EQ(ops.blur_vertex_visits, g.vertexCount() * 9);
+            const GridArrays got(g);
+            ASSERT_EQ(got.val.size(), want.val.size());
+            for (size_t idx = 0; idx < want.val.size(); ++idx) {
+                ASSERT_EQ(bits(got.val[idx]), bits(want.val[idx]))
+                    << g.gx() << "x" << g.gy() << "x" << g.gz()
+                    << " vertex " << idx << " threads " << pol.threads;
+                ASSERT_EQ(bits(got.wgt[idx]), bits(want.wgt[idx]))
+                    << g.gx() << "x" << g.gy() << "x" << g.gz()
+                    << " vertex " << idx << " threads " << pol.threads;
+            }
+        }
+    }
+}
+
+TEST(BssaBitIdentity, BilateralFilterGridMatchesPerVertexBlur)
+{
+    const ImageF img = mixedMagnitudes(53, 41, 7);
+    // bilateralFilterGrid's splat, the per-vertex blur, its slice.
+    BilateralGrid grid(img.width(), img.height(), 4.0, 8);
+    grid.splat(img, img, nullptr);
+    GridArrays arrays(grid);
+    for (int i = 0; i < 4; ++i) {
+        referenceBlur(arrays);
+    }
+    arrays.storeInto(grid);
+    const ImageF want = grid.slice(img);
+    for (const ExecPolicy pol : kPolicies) {
+        expectBitIdentical(want,
+                           bilateralFilterGrid(img, 4.0, 8, 4, nullptr, pol),
+                           "bilateralFilterGrid");
+    }
+}
+
+// --- A NaN guide pixel fails loudly ----------------------------------------
+
+TEST(GridDeathTest, NanGuidePixelPanicsInSplatSliceAndCompute)
+{
+    ImageF clean(40, 30, 1, 0.5f);
+    ImageF guide = clean;
+    guide.at(7, 11) = std::numeric_limits<float>::quiet_NaN();
+
+    BilateralGrid g(40, 30, 4.0, 8);
+    EXPECT_DEATH(g.splat(guide, clean, nullptr),
+                 "guide pixel \\(7, 11\\) is NaN");
+
+    g.splat(clean, clean, nullptr);
+    EXPECT_DEATH(g.slice(guide), "guide pixel \\(7, 11\\) is NaN");
+
+    BssaConfig cfg;
+    cfg.max_disparity = 8;
+    cfg.solver_iterations = 2;
+    EXPECT_DEATH(BssaStereo(cfg).compute(guide, clean),
+                 "guide pixel \\(7, 11\\) is NaN");
 }
 
 } // namespace
