@@ -31,7 +31,8 @@
  *   oracle      — per-segment re-optimization with perfect knowledge
  *                 (the analytical upper bound);
  *   adaptive    — the real StreamingPipeline with an attached
- *                 AdaptiveController and DynamicLink (measured).
+ *                 AdaptiveController and a trace-driven SharedLink
+ *                 (measured).
  *
  * Energy scenarios run the deterministic counting shape on the frame
  * clock; the VR scenario runs paced against the wall trace clock with
@@ -61,8 +62,8 @@
 #include "core/network.hh"
 #include "core/optimizer.hh"
 #include "fa/scenario.hh"
+#include "fleet/shared_link.hh"
 #include "runtime/runtime.hh"
-#include "trace/dynamic_link.hh"
 #include "trace/trace.hh"
 #include "vr/pipeline_model.hh"
 #include "vr/scenario.hh"
@@ -444,10 +445,11 @@ runEnergyScenario(const std::string &name, const Pipeline &base,
     StreamingPipeline sp(base, static_cfg, c.net->at(Time{}), opts);
     sp.setContentTrace(c.content);
 
-    DynamicLink::Options dopts;
-    dopts.pace = false;
-    DynamicLink dyn(*c.net, dopts);
-    sp.attachUplinkArbiter(&dyn, 0);
+    SharedLink::Options lopts;
+    lopts.trace = c.net;
+    lopts.pace = false;
+    SharedLink link(c.net->at(Time{}), lopts);
+    sp.attachUplinkArbiter(&link, link.addEndpoint("fa"));
 
     AdaptiveController ctl(base, c.net->averageLink(),
                            energyControllerOptions(source_fps));
@@ -507,10 +509,11 @@ runVrScenario(const std::string &name, const Conditions &c,
     opts.epoch_capacity = 1024;
     StreamingPipeline sp(vr, static_cfg, c.net->at(Time{}), opts);
 
-    DynamicLink::Options dopts;
-    dopts.time_scale = time_scale;
-    DynamicLink dyn(*c.net, dopts);
-    sp.attachUplinkArbiter(&dyn, 0);
+    SharedLink::Options lopts;
+    lopts.trace = c.net;
+    lopts.time_scale = time_scale;
+    SharedLink link(c.net->at(Time{}), lopts);
+    sp.attachUplinkArbiter(&link, link.addEndpoint("vr"));
 
     ControllerOptions copts;
     copts.goal = goal;
@@ -522,11 +525,11 @@ runVrScenario(const std::string &name, const Conditions &c,
     copts.trace_fps = 1.0; // unused: the wall trace clock drives
     AdaptiveController ctl(vr, c.net->averageLink(), copts);
     ctl.useNetworkTrace(c.net);
-    ctl.useTraceClock([&dyn] { return dyn.traceTime().sec(); });
+    ctl.useTraceClock([&link] { return link.traceTime().sec(); });
     ctl.attach(sp);
 
     const auto t0 = std::chrono::steady_clock::now();
-    dyn.start();
+    link.start();
     const RuntimeReport rep = sp.run();
     res.wall_seconds = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - t0)

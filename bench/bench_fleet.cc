@@ -158,7 +158,9 @@ measurePoint(const std::string &link_name, const NetworkLink &link,
                    std::lround(t_model * model.cameras[i].fps)));
         fleet.addCamera(std::move(cam));
     }
-    const FleetRunReport run = fleet.run();
+    RunOptions per_camera;
+    per_camera.mode = ExecutionMode::ThreadPerCamera;
+    const FleetRunReport run = fleet.run(per_camera);
     res.measured_agg_fps = run.aggregate_model_fps;
     res.wall_seconds = run.wall_seconds;
     for (size_t i = 0; i < specs.size(); ++i) {
@@ -185,7 +187,7 @@ measurePoint(const std::string &link_name, const NetworkLink &link,
         cam.frames = 200;
         counting_fleet.addCamera(std::move(cam));
     }
-    const FleetRunReport counted = counting_fleet.run();
+    const FleetRunReport counted = counting_fleet.run(per_camera);
     for (size_t i = 0; i < specs.size(); ++i) {
         const double predicted = model.cameras[i].jpf.j();
         if (predicted <= 0.0) {

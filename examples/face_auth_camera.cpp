@@ -8,12 +8,14 @@
  * data, runs a simulated security video, and reports the stage funnel,
  * the energy ledger, and how far from an RFID reader the camera could
  * operate continuously. Also writes a contact sheet of annotated
- * frames (detections drawn as boxes) to /tmp/incam_fa_frame_*.pgm.
+ * frames (detections drawn as boxes) to incam_fa_frame_*.pgm in the
+ * output directory (default /tmp) and prints their paths.
  *
- * Run: ./build/examples/face_auth_camera
+ * Run: ./build/example_face_auth_camera [out_dir]
  */
 
 #include <cstdio>
+#include <string>
 
 #include "fa/fa_pipeline.hh"
 #include "fa/models.hh"
@@ -23,8 +25,9 @@
 using namespace incam;
 
 int
-main()
+main(int argc, char **argv)
 {
+    const std::string out_dir = argc > 1 ? argv[1] : "/tmp";
     std::printf("== battery-free face-authentication camera ==\n\n");
 
     // --- workload: a night of security footage at 1 FPS ----------------
@@ -108,11 +111,10 @@ main()
         for (const auto &d : detector.detect(frame.image)) {
             drawRect(frame.image, d.box, 255);
         }
-        char path[64];
-        std::snprintf(path, sizeof(path), "/tmp/incam_fa_frame_%d.pgm",
-                      written);
+        const std::string path = out_dir + "/incam_fa_frame_" +
+                                 std::to_string(written) + ".pgm";
         writePgm(frame.image, path);
-        std::printf("wrote %s\n", path);
+        std::printf("wrote %s\n", path.c_str());
         ++written;
     }
     return 0;

@@ -63,7 +63,9 @@ main()
 
     const FleetModelReport model =
         fleetReport(fleet.modelCameras(), link, options.policy);
-    const FleetRunReport run = fleet.run();
+    RunOptions per_camera;
+    per_camera.mode = ExecutionMode::ThreadPerCamera;
+    const FleetRunReport run = fleet.run(per_camera);
 
     std::printf("%-10s %11s %11s %14s %11s\n", "camera", "model FPS",
                 "meas FPS", "share MB/s", "link-bound");

@@ -6,13 +6,15 @@
  * plain winner-take-all block matching and then BSSA refinement, and
  * reports how much the bilateral-space solver improves the depth map —
  * plus the Fig. 7 tradeoff in miniature (quality vs grid cell size).
- * Writes /tmp/incam_stereo_{left,wta,refined,truth}.pgm for visual
- * inspection.
+ * Writes incam_stereo_{left,wta,refined,truth}.pgm for visual
+ * inspection into the output directory (default /tmp) and prints
+ * their paths.
  *
- * Run: ./build/examples/stereo_depth_demo
+ * Run: ./build/example_stereo_depth_demo [out_dir]
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bilateral/stereo.hh"
 #include "image/image_io.hh"
@@ -39,21 +41,23 @@ meanAbsError(const ImageF &got, const ImageF &want)
 }
 
 void
-writeDepth(const ImageF &disparity, double max_d, const char *path)
+writeDepth(const ImageF &disparity, double max_d, const std::string &path)
 {
     ImageF vis = disparity;
     for (float &v : vis) {
         v = static_cast<float>(v / max_d);
     }
     writePgm(toU8(vis), path);
-    std::printf("wrote %s\n", path);
+    std::printf("wrote %s\n", path.c_str());
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    const std::string out =
+        std::string(argc > 1 ? argv[1] : "/tmp") + "/incam_stereo_";
     std::printf("== bilateral-space stereo (BSSA) demo ==\n\n");
 
     StereoSceneConfig sc;
@@ -86,13 +90,11 @@ main()
                 res.grid_vertices,
                 (unsigned long long)res.ops.filterVisits());
 
-    writePgm(toU8(scene.left), "/tmp/incam_stereo_left.pgm");
-    writeDepth(res.raw_disparity, cfg.max_disparity,
-               "/tmp/incam_stereo_wta.pgm");
-    writeDepth(res.disparity, cfg.max_disparity,
-               "/tmp/incam_stereo_refined.pgm");
-    writeDepth(scene.disparity, cfg.max_disparity,
-               "/tmp/incam_stereo_truth.pgm");
+    writePgm(toU8(scene.left), out + "left.pgm");
+    std::printf("wrote %sleft.pgm\n", out.c_str());
+    writeDepth(res.raw_disparity, cfg.max_disparity, out + "wta.pgm");
+    writeDepth(res.disparity, cfg.max_disparity, out + "refined.pgm");
+    writeDepth(scene.disparity, cfg.max_disparity, out + "truth.pgm");
 
     // Fig. 7 in miniature: cell size vs quality.
     std::printf("\ngrid-size tradeoff (Fig. 7 shape):\n");

@@ -5,14 +5,16 @@
  * Synthesizes a 16-camera ring, runs the full B1..B4 pipeline at proxy
  * resolution — demosaic, pairwise rectification, bilateral-space
  * stereo, stereo-panorama stitching — and writes the outputs
- * (/tmp/incam_vr_pano_{left,right}.ppm, /tmp/incam_vr_depth.pgm). Then
- * prints the full-scale cost model's verdict for the same pipeline:
- * the Fig. 10 computation/communication table.
+ * (incam_vr_pano_{left,right}.ppm, incam_vr_depth.pgm) into the output
+ * directory (default /tmp), printing their paths. Then prints the
+ * full-scale cost model's verdict for the same pipeline: the Fig. 10
+ * computation/communication table.
  *
- * Run: ./build/examples/vr_rig_stream
+ * Run: ./build/example_vr_rig_stream [out_dir]
  */
 
 #include <cstdio>
+#include <string>
 
 #include "image/image_io.hh"
 #include "image/metrics.hh"
@@ -33,7 +35,7 @@ toU8Rgb(const ImageF &img)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     std::printf("== 16-camera 3D-360 VR rig, one frame ==\n\n");
 
@@ -84,16 +86,18 @@ main()
                 "pairs\n",
                 mae / n, static_cast<int>(bundle.depth.size()));
 
-    writePpm(toU8Rgb(bundle.pano_left), "/tmp/incam_vr_pano_left.ppm");
-    writePpm(toU8Rgb(bundle.pano_right), "/tmp/incam_vr_pano_right.ppm");
+    const std::string out =
+        std::string(argc > 1 ? argv[1] : "/tmp") + "/incam_vr_";
+    writePpm(toU8Rgb(bundle.pano_left), out + "pano_left.ppm");
+    writePpm(toU8Rgb(bundle.pano_right), out + "pano_right.ppm");
     // Depth visualization: first pair, normalized.
     ImageF depth_vis = bundle.depth[0].disparity;
     for (float &v : depth_vis) {
         v /= static_cast<float>(bssa.max_disparity);
     }
-    writePgm(toU8(depth_vis), "/tmp/incam_vr_depth.pgm");
-    std::printf("wrote /tmp/incam_vr_pano_left.ppm, "
-                "/tmp/incam_vr_pano_right.ppm, /tmp/incam_vr_depth.pgm\n");
+    writePgm(toU8(depth_vis), out + "depth.pgm");
+    std::printf("wrote %spano_left.ppm, %spano_right.ppm, %sdepth.pgm\n",
+                out.c_str(), out.c_str(), out.c_str());
 
     // --- the full-scale verdict (Fig. 10) ------------------------------
     std::printf("\nfull-scale cost model (16x 4K cameras, 25 GbE):\n");

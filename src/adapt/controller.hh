@@ -168,7 +168,7 @@ class AdaptiveController
      * frame clock — for *paced* runs, whose source emission rate
      * varies with the conditions (a backlogged uplink stalls the
      * source, so frame ids stop tracking trace time). Typically
-     * DynamicLink::traceTime. Trades the frame clock's bit-exact
+     * SharedLink::traceTime. Trades the frame clock's bit-exact
      * reproducibility for wall-accurate decision timing.
      */
     void useTraceClock(std::function<double()> now);

@@ -1,6 +1,5 @@
 #include "fleet/fleet.hh"
 
-#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -9,7 +8,6 @@
 #include "exec/thread_pool.hh"
 #include "sim/clock.hh"
 #include "sim/engine.hh"
-#include "trace/dynamic_link.hh"
 #include "trace/trace.hh"
 
 namespace incam {
@@ -65,7 +63,6 @@ cameraRuntimeOptions(const FleetOptions &opts, const FleetCamera &cam)
     ro.pace_stages = opts.pace_stages;
     ro.pace_link = opts.pace_link;
     ro.stage_burst_frames = opts.stage_burst_frames;
-    ro.link_burst_frames = opts.link_burst_frames;
     ro.source_fps = cam.source_fps;
     ro.trace_fps = opts.trace_fps;
     ro.delivery = opts.delivery;
@@ -112,16 +109,6 @@ assembleReport(const FleetOptions &opts, const NetworkLink &net,
 } // namespace
 
 FleetRunReport
-CameraFleet::run()
-{
-    RunOptions options;
-    options.mode = opts.threaded_stages
-                       ? ExecutionMode::ThreadedStages
-                       : ExecutionMode::ThreadPerCamera;
-    return run(options);
-}
-
-FleetRunReport
 CameraFleet::run(const RunOptions &options)
 {
     incam_assert(!consumed, "a CameraFleet instance is single-use");
@@ -154,37 +141,16 @@ CameraFleet::runThreaded(const RunOptions &options,
                  "worker: camera loops need real concurrency");
     const size_t n = cams.size();
 
-    // The arbiter replaces every camera's private uplink pacer; its
-    // burst models the radio's frame buffer, sized to the largest
-    // frame any camera puts on the wire.
+    // The arbiter replaces every camera's private uplink pacer. Each
+    // camera banks two of its own frames: a bound sized to the fleet's
+    // largest frame would let a camera with small frames hold a share
+    // of the medium it never uses.
     SharedLink::Options link_opts;
     link_opts.policy = opts.policy;
+    link_opts.trace = opts.network_trace;
     link_opts.time_scale = opts.time_scale;
     link_opts.pace = opts.pace_link;
-    double max_cut_bytes = 0.0;
-    for (const FleetCamera &cam : cams) {
-        max_cut_bytes = std::max(
-            max_cut_bytes,
-            PipelineEvaluator(cam.pipeline, net).cutBytes(cam.config).b());
-    }
-    link_opts.burst_bytes = opts.link_burst_frames * max_cut_bytes;
-    // Start from the trace's opening conditions when one is attached,
-    // so the first frames are not priced at the stationary link.
-    SharedLink shared(opts.network_trace != nullptr
-                          ? opts.network_trace->at(Time{})
-                          : net,
-                      link_opts);
-    std::unique_ptr<DynamicLink> dyn;
-    if (opts.network_trace != nullptr) {
-        DynamicLink::Options dopts;
-        dopts.pace = opts.pace_link;
-        dopts.time_scale = opts.time_scale;
-        dyn = std::make_unique<DynamicLink>(*opts.network_trace, shared,
-                                            dopts);
-    }
-    UplinkArbiter *arbiter =
-        dyn != nullptr ? static_cast<UplinkArbiter *>(dyn.get())
-                       : &shared;
+    SharedLink shared(net, link_opts);
 
     std::vector<std::unique_ptr<StreamingPipeline>> pipes;
     pipes.reserve(n);
@@ -193,7 +159,7 @@ CameraFleet::runThreaded(const RunOptions &options,
             cam.pipeline, cam.config, net,
             cameraRuntimeOptions(opts, cam));
         const int endpoint = shared.addEndpoint(cam.name, cam.weight);
-        sp->attachUplinkArbiter(arbiter, endpoint);
+        sp->attachUplinkArbiter(&shared, endpoint);
         if (opts.faults != nullptr) {
             // The camera identifies to the shared fault oracle as its
             // fleet index, so crash windows and hash streams are per
@@ -210,9 +176,7 @@ CameraFleet::runThreaded(const RunOptions &options,
         }
         pipes.push_back(std::move(sp));
     }
-    if (dyn != nullptr) {
-        dyn->start(); // trace time zero = run start, not first frame
-    }
+    shared.start(); // trace time zero = run start, not first frame
 
     std::vector<RuntimeReport> reports(n);
     AnnotatedMutex error_mu;

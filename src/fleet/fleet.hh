@@ -3,31 +3,22 @@
  * CameraFleet — N streaming pipelines, one arbitrated uplink.
  *
  * The runtime counterpart of core/fleet_model.hh: a fleet owns one
- * NetworkLink budget, wraps it in a SharedLink arbiter, and runs every
- * camera's StreamingPipeline concurrently on the shared exec/ thread
- * pool with each uplink stage acquiring its bytes through the arbiter
- * instead of a private pacer. Cameras are heterogeneous: FA swarms
- * and VR rigs, different configs, cuts, frame sizes, frame counts and
- * weights, side by side under one resource budget.
+ * NetworkLink budget (or a NetworkTrace of them) and runs every
+ * camera's StreamingPipeline against it, each uplink stage acquiring
+ * its bytes through one shared arbiter instead of a private pacer.
+ * Cameras are heterogeneous: FA swarms and VR rigs, different
+ * configs, cuts, frame sizes, frame counts and weights, side by side
+ * under one resource budget.
  *
- * Two execution shapes:
+ * Every shape arbitrates through the one link core, sim::SimLink. The
+ * wall-clock shapes (ThreadPerCamera, ThreadedStages) reach it through
+ * a SharedLink, its mutex-guarded adapter; the discrete-event shape
+ * drives it directly on model time (run(RunOptions) lists the shapes).
  *
- *  - *Inline* (default): one thread per camera runs the whole chain
- *    serially (StreamingPipeline::runInline). Token buckets refill in
- *    parallel wall time, so each camera still exhibits min(stage
- *    rates, granted link rate); a fleet scales to
- *    ThreadPool::kMaxWorkers cameras.
- *
- *  - *Threaded stages*: every stage of every camera gets its own
- *    concurrent loop with bounded queues between stages — the full
- *    single-pipeline machinery, flattened into one fork-join job.
- *    Richer (per-stage backpressure, queue depths) but each camera
- *    costs stageCount() threads, so it suits small rigs.
- *
- * In both shapes a camera that finishes (or fails) simply stops
- * competing: the arbiter is work-conserving, so its goodput share
- * flows to the surviving cameras immediately, and a failing camera
- * drains only its own queues — siblings never stall.
+ * A camera that finishes (or fails) simply stops competing: the
+ * arbiter is work-conserving, so its goodput share flows to the
+ * surviving cameras immediately, and a failing camera drains only its
+ * own queues — siblings never stall.
  */
 
 #ifndef INCAM_FLEET_FLEET_HH
@@ -81,18 +72,13 @@ struct FleetOptions
     double time_scale = 1.0;
     bool pace_stages = true;
     bool pace_link = true;
-    /** Run every stage of every camera as its own thread (small rigs)
-     *  instead of one serial loop per camera. */
-    bool threaded_stages = false;
     int queue_capacity = 8;
     double stage_burst_frames = 2.0;
-    double link_burst_frames = 2.0;
     /**
-     * Time-varying link conditions: the run wraps its SharedLink in a
-     * trace/DynamicLink that pushes each trace segment's capacity and
-     * per-bit price into the arbiter as the schedule advances. The
-     * trace must outlive the run. Null = stationary link (the fleet's
-     * NetworkLink as constructed).
+     * Time-varying link conditions: the link core takes each trace
+     * segment's capacity and per-bit price as the schedule advances.
+     * The trace must outlive the run. Null = stationary link (the
+     * fleet's NetworkLink as constructed).
      */
     const NetworkTrace *network_trace = nullptr;
     /** Frame clock forwarded to every camera's RuntimeOptions. */
@@ -160,13 +146,6 @@ class CameraFleet
      * wound down (surviving cameras complete normally).
      */
     FleetRunReport run(const RunOptions &options);
-
-    /**
-     * Deprecated shape-specific entry point; forwards to run(RunOptions)
-     * with ThreadedStages or ThreadPerCamera per
-     * FleetOptions::threaded_stages. Prefer run(RunOptions).
-     */
-    FleetRunReport run();
 
   private:
     FleetRunReport runThreaded(const RunOptions &options,

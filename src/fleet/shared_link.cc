@@ -9,145 +9,87 @@
 namespace incam {
 
 SharedLink::SharedLink(NetworkLink link, Options options)
-    : net(std::move(link)), opts(options),
-      clk(options.clock != nullptr ? options.clock
-                                   : &sim::WallClock::shared())
+    : opts(options), clk(options.clock != nullptr
+                             ? options.clock
+                             : &sim::WallClock::shared()),
+      core(link, {options.policy, options.trace})
 {
     incam_assert(opts.time_scale > 0.0, "time_scale must be positive");
-    rate_bps = net.goodput().bytesPerSecond() / opts.time_scale;
-    incam_assert(!opts.pace || rate_bps > 0.0,
+    incam_assert(!opts.pace || opts.trace != nullptr ||
+                     link.goodput().bytesPerSecond() > 0.0,
                  "a paced shared link needs positive goodput");
 }
 
 int
 SharedLink::addEndpoint(std::string name, double weight)
 {
-    incam_assert(weight > 0.0, "endpoint '", name,
-                 "' needs a positive weight");
     MutexLock lk(mu);
-    Endpoint ep;
-    ep.name = std::move(name);
-    ep.weight = weight;
-    endpoints.push_back(std::move(ep));
-    return static_cast<int>(endpoints.size()) - 1;
-}
-
-double
-SharedLink::drainRateLocked(const Endpoint &ep) const
-{
-    if (!ep.active) {
-        return 0.0;
-    }
-    switch (opts.policy) {
-      case SharePolicy::Fair: {
-        double n_active = 0.0;
-        for (const Endpoint &o : endpoints) {
-            n_active += o.active ? 1.0 : 0.0;
-        }
-        return rate_bps / n_active;
-      }
-      case SharePolicy::Weighted: {
-        double total_w = 0.0;
-        for (const Endpoint &o : endpoints) {
-            total_w += o.active ? o.weight : 0.0;
-        }
-        return rate_bps * ep.weight / total_w;
-      }
-      case SharePolicy::StrictPriority: {
-        // Only the highest tier with traffic in flight drains; ties
-        // split it evenly.
-        double top = 0.0;
-        for (const Endpoint &o : endpoints) {
-            if (o.active) {
-                top = std::max(top, o.weight);
-            }
-        }
-        if (ep.weight < top) {
-            return 0.0;
-        }
-        double n_top = 0.0;
-        for (const Endpoint &o : endpoints) {
-            n_top += (o.active && o.weight == top) ? 1.0 : 0.0;
-        }
-        return rate_bps / n_top;
-      }
-    }
-    incam_panic("unknown SharePolicy");
+    endpoints.emplace_back();
+    return core.addEndpoint(std::move(name), weight);
 }
 
 void
-SharedLink::advanceLocked(double now)
+SharedLink::start()
 {
-    if (!clock_started) {
-        clock_started = true;
-        last_advance = now;
-        return;
+    MutexLock lk(mu);
+    if (!started) {
+        started = true;
+        epoch = clk->now();
     }
-    // Timestamps can arrive out of order (sampled before the lock was
-    // contended); the fluid clock must only move forward, or the same
-    // wall-time interval drains twice.
-    if (now <= last_advance) {
-        return;
+}
+
+Time
+SharedLink::traceTime() const
+{
+    MutexLock lk(mu);
+    return started ? Time::seconds(modelTime(clk->now())) : Time{};
+}
+
+void
+SharedLink::settleLocked(double t)
+{
+    for (double next = core.nextDepartureTime(); next <= t;
+         next = core.nextDepartureTime()) {
+        core.advanceTo(next);
+        resolveLocked();
     }
-    const double dt = now - last_advance;
-    last_advance = now;
-    // Fluid GPS step: rates are constant between events, and every
-    // mutation of the active set calls advanceLocked first, so one
-    // linear pass is exact. Shared denominators are hoisted so the
-    // step is O(endpoints), not O(endpoints^2).
-    double denom = 0.0, top = 0.0;
-    switch (opts.policy) {
-      case SharePolicy::Fair:
-        for (const Endpoint &ep : endpoints) {
-            denom += ep.active ? 1.0 : 0.0;
-        }
-        break;
-      case SharePolicy::Weighted:
-        for (const Endpoint &ep : endpoints) {
-            denom += ep.active ? ep.weight : 0.0;
-        }
-        break;
-      case SharePolicy::StrictPriority:
-        for (const Endpoint &ep : endpoints) {
-            if (ep.active) {
-                top = std::max(top, ep.weight);
+    core.advanceTo(t);
+    resolveLocked();
+    model_t = std::max(model_t, t);
+}
+
+void
+SharedLink::resolveLocked()
+{
+    bool any = false;
+    for (auto done = core.takeCompleted(); !done.empty();
+         done = core.takeCompleted()) {
+        any = true;
+        for (const sim::SimLink::Completion &c : done) {
+            Endpoint &ep = endpoints[static_cast<size_t>(c.endpoint)];
+            if (ep.flow == Flow::Frame) {
+                ep.frame_energy = c.energy;
+                bankLocked(c.endpoint, c.depart_t);
+            } else {
+                ep.flow = Flow::None; // bank full: leave the share
+                ep.bank = ep.burst;
             }
         }
-        for (const Endpoint &ep : endpoints) {
-            denom += (ep.active && ep.weight == top) ? 1.0 : 0.0;
-        }
-        break;
     }
-    if (denom <= 0.0) {
-        return;
+    if (any) {
+        cv.notify_all();
     }
-    const double ebit_j = net.energy_per_bit.j();
-    for (Endpoint &ep : endpoints) {
-        if (!ep.active) {
-            continue;
-        }
-        double drained = 0.0;
-        switch (opts.policy) {
-          case SharePolicy::Fair:
-            drained = rate_bps / denom * dt;
-            break;
-          case SharePolicy::Weighted:
-            drained = rate_bps * ep.weight / denom * dt;
-            break;
-          case SharePolicy::StrictPriority:
-            drained = ep.weight == top ? rate_bps / denom * dt : 0.0;
-            break;
-        }
-        // Radio energy accrues per byte at the per-bit price in force
-        // *now* — a setLink halfway through a transmission prices the
-        // two halves differently, exactly as the trace model demands.
-        // Overshoot bytes (remaining already <= 0) belong to the next
-        // transmission and are priced when it claims them.
-        if (ep.remaining > 0.0) {
-            ep.tx_energy_j +=
-                std::min(ep.remaining, drained) * 8.0 * ebit_j;
-        }
-        ep.remaining -= drained;
+}
+
+void
+SharedLink::bankLocked(int endpoint, double t)
+{
+    Endpoint &ep = endpoints[static_cast<size_t>(endpoint)];
+    ep.flow = Flow::None;
+    const double room = ep.burst - ep.bank;
+    if (room > 0.0) {
+        ep.flow = Flow::Bank;
+        core.submit(endpoint, room, t);
     }
 }
 
@@ -155,184 +97,106 @@ Energy
 SharedLink::acquire(int endpoint, double bytes, double trace_time_hint)
 {
     incam_assert(bytes >= 0.0, "negative transmission size");
-    (void)trace_time_hint; // a static link prices every instant alike
-
-    const double t0 = clk->now();
+    const double t0 = opts.pace ? clk->now() : 0.0; // counting never waits
     MutexLock lk(mu);
     incam_assert(endpoint >= 0 &&
                      static_cast<size_t>(endpoint) < endpoints.size(),
                  "unknown endpoint ", endpoint);
     Endpoint &ep = endpoints[static_cast<size_t>(endpoint)];
-
+    ++ep.grants;
+    ep.bytes += bytes;
     if (!opts.pace) {
-        // Counting mode: account the traffic, skip the medium.
-        ++ep.grants;
-        ep.bytes += bytes;
-        return net.transferEnergy(DataSize::bytes(bytes));
+        return core.price(bytes, trace_time_hint);
     }
 
-    incam_assert(!ep.active, "endpoint ", endpoint,
+    incam_assert(ep.flow != Flow::Frame, "endpoint ", endpoint,
                  " has concurrent acquires (uplinks are serial)");
-    advanceLocked(clk->now()); // post-lock: t0 may be stale by now
-
-    const double burst = opts.burst_bytes > 0.0
-                             ? opts.burst_bytes
-                             : std::max(1.0, 2.0 * bytes);
-    // Banked overshoot from previous transmissions covers the front
-    // of this one; it may cover all of it. Those bytes drained under
-    // earlier link states but belong to this transmission — price
-    // them at the current per-bit cost on claiming.
-    const double need = bytes - ep.bank;
+    if (!started) {
+        started = true;
+        epoch = t0;
+    }
+    settleLocked(modelTime(clk->now())); // post-lock: t0 may be stale
+    const bool withdrew = ep.flow == Flow::Bank;
+    if (withdrew) {
+        ep.bank += core.withdraw(endpoint);
+        ep.flow = Flow::None;
+    }
+    ep.burst = std::max(1.0, 2.0 * bytes);
     const double claimed = std::min(bytes, ep.bank);
-    ep.bank = std::max(0.0, -need);
-    ep.tx_energy_j = claimed * 8.0 * net.energy_per_bit.j();
-    if (need > 0.0) {
-        ep.remaining = need;
-        ep.active = true;
-        if (clk->virtualTime()) {
-            // Model time is single-threaded by the VirtualClock
-            // contract: nobody else can advance it, so the waiter
-            // advances the clock to its own finish instant itself.
-            for (;;) {
-                advanceLocked(clk->now());
-                if (ep.remaining <= 0.0) {
-                    break;
-                }
-                const double my_rate = drainRateLocked(ep);
-                incam_assert(my_rate > 0.0,
-                             "virtual-time SharedLink stalled: no "
-                             "other thread can free the medium "
-                             "(StrictPriority needs the event engine)");
-                clk->sleepUntil(last_advance +
-                                ep.remaining / my_rate);
-            }
-        } else {
-            // No notify on arrival: a waiter whose rate just dropped
-            // wakes at its stale (too-early) finish, sees bytes left,
-            // and re-sleeps — self-correcting, and it halves the
-            // wakeups.
-            for (;;) {
-                advanceLocked(clk->now());
-                if (ep.remaining <= 0.0) {
-                    break;
-                }
-                const double my_rate = drainRateLocked(ep);
-                if (my_rate <= 0.0) {
-                    // A higher StrictPriority tier owns the medium;
-                    // wait for the active set to change.
-                    cv.wait(lk.raw());
-                    continue;
-                }
-                const double wait_s =
-                    last_advance + ep.remaining / my_rate - clk->now();
+    ep.bank = std::min(ep.burst, ep.bank - claimed);
+    // Banked bytes are priced now, when this frame claims them.
+    Energy energy = core.price(claimed, model_t);
+    if (claimed == bytes) {
+        bankLocked(endpoint, model_t); // through at once: keep the share
+        resolveLocked();
+        if (withdrew) {
+            // The new bank may fill sooner than the withdrawn one, or
+            // be empty: the others' departures can come forward, and
+            // no waiter is due to wake for it.
+            cv.notify_all();
+        }
+    } else {
+        ep.flow = Flow::Frame;
+        core.submit(endpoint, bytes - claimed, model_t);
+        resolveLocked();
+        while (ep.flow == Flow::Frame) {
+            // Wake at the next departure in the active tier, never
+            // later than this frame's own: any departure (a bank that
+            // fills, say) speeds the survivors, and no other thread
+            // need be awake to settle it.
+            const double wake_t = core.nextDepartureTime();
+            const double wake = epoch + wake_t * opts.time_scale;
+            if (clk->virtualTime()) {
+                clk->sleepUntil(wake);
+            } else {
+                // An arrival only delays the departures already
+                // scheduled, so it needs no notify.
+                const double wait_s = wake - clk->now();
                 if (wait_s > 0.0) {
                     cv.wait_for(lk.raw(),
                                 std::chrono::duration<double>(wait_s));
                 }
             }
+            // Once the wake instant is reached, settle at least to it:
+            // the clock round trip may round a hair short of wake_t.
+            const double now = clk->now();
+            settleLocked(now >= wake ? std::max(wake_t, modelTime(now))
+                                     : modelTime(now));
         }
-        ep.active = false;
-        // Overshoot keeps draining while the camera oversleeps; bank
-        // it (bounded) against the next transmission so jitter never
-        // accumulates into rate error.
-        ep.bank = std::min(burst, ep.bank - ep.remaining);
-        ep.remaining = 0.0;
-        cv.notify_all(); // survivors' rates grow
+        energy += ep.frame_energy;
     }
-    ++ep.grants;
-    ep.bytes += bytes;
     ep.wait_seconds += clk->now() - t0;
-    return Energy::joules(ep.tx_energy_j);
-}
-
-void
-SharedLink::setLink(const NetworkLink &link)
-{
-    {
-        MutexLock lk(mu);
-        // Settle the fluid state first: bytes drained before this
-        // instant drained (and were priced) under the old link.
-        advanceLocked(clk->now());
-        net = link;
-        rate_bps = net.goodput().bytesPerSecond() / opts.time_scale;
-        incam_assert(!opts.pace || rate_bps > 0.0,
-                     "a paced shared link needs positive goodput");
-    }
-    // Every waiter's finish estimate is stale now; wake them all to
-    // recompute against the new rate (a capacity drop self-corrects
-    // anyway, but a rise would otherwise oversleep).
-    cv.notify_all();
-}
-
-void
-SharedLink::setCapacity(Bandwidth bandwidth)
-{
-    {
-        // One critical section: a read-modify-write through setLink
-        // could lose a concurrent setLink's price change.
-        MutexLock lk(mu);
-        advanceLocked(clk->now());
-        net.bandwidth = bandwidth;
-        rate_bps = net.goodput().bytesPerSecond() / opts.time_scale;
-        incam_assert(!opts.pace || rate_bps > 0.0,
-                     "a paced shared link needs positive goodput");
-    }
-    cv.notify_all();
-}
-
-void
-SharedLink::setWeight(int endpoint, double weight)
-{
-    incam_assert(weight > 0.0, "endpoint weights must be positive");
-    {
-        MutexLock lk(mu);
-        incam_assert(endpoint >= 0 &&
-                         static_cast<size_t>(endpoint) <
-                             endpoints.size(),
-                     "unknown endpoint ", endpoint);
-        // History drained under the old weights stays drained.
-        advanceLocked(clk->now());
-        endpoints[static_cast<size_t>(endpoint)].weight = weight;
-    }
-    cv.notify_all();
-}
-
-NetworkLink
-SharedLink::link() const
-{
-    MutexLock lk(mu);
-    return net;
+    return energy;
 }
 
 void
 SharedLink::release(int endpoint)
 {
-    {
-        MutexLock lk(mu);
-        incam_assert(endpoint >= 0 &&
-                         static_cast<size_t>(endpoint) <
-                             endpoints.size(),
-                     "unknown endpoint ", endpoint);
-        endpoints[static_cast<size_t>(endpoint)].released = true;
+    MutexLock lk(mu);
+    incam_assert(endpoint >= 0 &&
+                     static_cast<size_t>(endpoint) < endpoints.size(),
+                 "unknown endpoint ", endpoint);
+    Endpoint &ep = endpoints[static_cast<size_t>(endpoint)];
+    if (ep.flow == Flow::Bank) {
+        settleLocked(modelTime(clk->now()));
+        if (ep.flow == Flow::Bank) { // it may have filled meanwhile
+            ep.bank += core.withdraw(endpoint);
+            ep.flow = Flow::None;
+        }
+        cv.notify_all(); // survivors' shares grow
     }
-    cv.notify_all();
+    core.release(endpoint);
 }
 
 std::vector<LinkEndpointReport>
 SharedLink::report() const
 {
     MutexLock lk(mu);
-    std::vector<LinkEndpointReport> out;
-    out.reserve(endpoints.size());
-    for (const Endpoint &ep : endpoints) {
-        LinkEndpointReport r;
-        r.name = ep.name;
-        r.weight = ep.weight;
-        r.grants = ep.grants;
-        r.bytes = DataSize::bytes(ep.bytes);
-        r.wait_seconds = ep.wait_seconds;
-        r.released = ep.released;
-        out.push_back(std::move(r));
+    std::vector<LinkEndpointReport> out = core.report();
+    for (size_t i = 0; i < out.size(); ++i) {
+        out[i].grants = endpoints[i].grants;
+        out[i].bytes = DataSize::bytes(endpoints[i].bytes);
+        out[i].wait_seconds = endpoints[i].wait_seconds;
     }
     return out;
 }

@@ -1,50 +1,39 @@
 /**
  * @file
- * SharedLink — a thread-safe weighted byte arbiter over one NetworkLink.
+ * SharedLink — the wall-clock adapter over the one link core.
  *
  * A fleet of cameras shares one physical uplink (the WISPCam swarm's
- * RF reader, the VR rig's 25 GbE trunk), and whoever divides the
- * medium decides each camera's goodput share. SharedLink divides it
- * by *fluid* weighted fair sharing (generalized processor sharing):
- * every endpoint with a transmission in flight drains concurrently at
- * goodput x weight / (total active weight), and acquire(bytes)
- * blocks its caller until that camera's bytes have drained. When an
- * endpoint's transmission finishes or a new one arrives, the drain
- * rates re-divide instantly, so backlogged endpoints converge to
- * goodput shares proportional to their weights, endpoints demanding
- * less keep their demand, and the residual redistributes — weighted
- * max-min fairness, precisely the allocation core/fleet_model.hh
- * predicts.
+ * RF reader, the VR rig's 25 GbE trunk). sim::SimLink models that
+ * medium: weighted fair sharing under GPS, a NetworkTrace's piecewise
+ * capacity and per-bit price, and counting-mode pricing. The
+ * discrete-event engine drives it on model time; SharedLink holds one
+ * under its mutex so camera threads can arbitrate through it on a
+ * sim::Clock.
  *
- * The fluid model (rather than serialized per-frame grants) matters
- * because every camera keeps at most one transmission in flight: a
- * serialized arbiter decides only among the requests *queued at a
- * frame boundary*, and a camera that re-arrives a microsecond after
- * each grant degenerates to round-robin no matter its weight. Fluid
- * sharing has no boundaries to race: weights hold at every instant.
+ *  - *Counting* (pace = false): acquire() never waits. SimLink::price
+ *    prices the bytes at the frame-clock hint (or the occupancy
+ *    timeline) under a trace, at the stationary link otherwise — the
+ *    engine's pricing, so counting ledgers and energies are
+ *    bit-identical across execution shapes.
  *
- * Pacing is debt-based like runtime/pacer.hh: a request keeps
- * draining while its camera oversleeps, and the overshoot is banked
- * (bounded by a burst) against the camera's next transmission, so
- * sleep jitter never accumulates into rate error — the property the
- * fleet's measured-vs-model comparison depends on.
+ *  - *Paced*: acquire() converts clock time to model time,
+ *    (now - start) / time_scale, submits the bytes and waits until the
+ *    core reports them drained — on a condition variable under a
+ *    WallClock, by sleeping a VirtualClock otherwise (single-threaded
+ *    by the clock's contract). Drained bytes are priced by the link
+ *    states in force while they drained.
  *
- * StrictPriority drains only the highest-priority tier with traffic
- * in flight: lower tiers stall entirely (and can starve) while a
- * higher tier transmits, ties sharing fairly within their tier.
+ * The bank rule absorbs host sleep overshoot. An endpoint keeps its
+ * GPS share from the instant its bytes are through until its next
+ * acquire, bounded by two of its latest frame (the radio's frame
+ * buffer), and what drains meanwhile is banked against the next frame:
+ * the radio drains its frame buffer while the camera readies the next
+ * frame. Banked bytes are priced at claim time. A camera that
+ * oversleeps thus never idles its share, and jitter never accumulates
+ * into rate error.
  *
- * An endpoint that finishes (or dies) simply stops acquiring —
- * release() marks it done for reporting — and sharing is
- * work-conserving: its share flows to the survivors immediately, and
- * nothing ever blocks on a camera that no longer competes.
- *
- * Time comes from an injected sim::Clock (Options::clock). On the
- * default WallClock, waiters block on a condition variable exactly as
- * before. On a VirtualClock the arbiter is single-threaded by the
- * clock's contract, so acquire() advances model time synchronously
- * instead of waiting — the fleet-scale discrete-event engine has its
- * own virtual-time arbiter (sim/SimLink), but this path lets a solo
- * pipeline carry its SharedLink into a DiscreteEvent run.
+ * An endpoint that finishes (or dies) release()s: its bank stops
+ * draining and its share flows to the survivors immediately.
  */
 
 #ifndef INCAM_FLEET_SHARED_LINK_HH
@@ -60,6 +49,7 @@
 #include "core/network.hh"
 #include "runtime/report.hh"
 #include "runtime/uplink.hh"
+#include "sim/sim_link.hh"
 
 namespace incam {
 
@@ -67,7 +57,7 @@ namespace sim {
 class Clock; // sim/clock.hh
 }
 
-/** Fluid weighted-fair byte arbiter shared by a fleet's uplinks. */
+/** Thread-safe weighted-fair arbiter over one sim::SimLink. */
 class SharedLink : public UplinkArbiter
 {
   public:
@@ -75,7 +65,15 @@ class SharedLink : public UplinkArbiter
     {
         SharePolicy policy = SharePolicy::Fair;
 
-        /** Stretch transmission times like RuntimeOptions::time_scale. */
+        /**
+         * Time-varying capacity and per-bit price; trace time zero is
+         * start(). Must outlive the link. Null = the stationary link
+         * given to the constructor.
+         */
+        const NetworkTrace *trace = nullptr;
+
+        /** Stretch transmission times like RuntimeOptions::time_scale:
+         *  one model second takes time_scale clock seconds. */
         double time_scale = 1.0;
 
         /**
@@ -85,19 +83,10 @@ class SharedLink : public UplinkArbiter
          */
         bool pace = true;
 
-        /**
-         * Per-endpoint overshoot bank in bytes (the radio's frame
-         * buffer): sleep overshoot keeps draining and credits the
-         * next transmission up to this bound. <= 0 sizes it
-         * automatically to two of the endpoint's first frame.
-         */
-        double burst_bytes = 0.0;
-
         /** Time source; null uses the process WallClock. */
         sim::Clock *clock = nullptr;
     };
 
-    explicit SharedLink(NetworkLink link) : SharedLink(link, Options()) {}
     SharedLink(NetworkLink link, Options options);
 
     /**
@@ -109,10 +98,18 @@ class SharedLink : public UplinkArbiter
     int addEndpoint(std::string name, double weight = 1.0);
 
     /**
-     * Block until @p bytes of @p endpoint's traffic have drained.
-     * Returns the camera-side radio energy of the transmission,
-     * integrated against the link state actually in force while each
-     * byte drained (setLink may change it mid-transmission).
+     * Pin model time zero to this clock instant. Implicit on the first
+     * paced acquire; call it just before a run starts so camera
+     * start-up cost doesn't skew a trace's schedule.
+     */
+    void start();
+
+    /** The paced trace clock: model seconds since start(), 0 before. */
+    Time traceTime() const;
+
+    /**
+     * Admit @p bytes of @p endpoint's traffic and return their radio
+     * energy. Paced, blocks until the bytes have drained.
      */
     Energy acquire(int endpoint, double bytes,
                    double trace_time_hint = -1.0) override;
@@ -120,70 +117,59 @@ class SharedLink : public UplinkArbiter
     /** Mark the endpoint's stream complete (idempotent). */
     void release(int endpoint) override;
 
-    /**
-     * Live reconfiguration: replace the link state (capacity and
-     * per-bit energy) from this instant on. History is settled first —
-     * bytes already drained were drained (and priced) at the old rate;
-     * in-flight transmissions continue at the new one. Thread-safe
-     * against concurrent acquires; the trace layer's DynamicLink calls
-     * this on every trace-segment boundary.
-     */
-    void setLink(const NetworkLink &link);
-
-    /** setLink, changing only the capacity. */
-    void setCapacity(Bandwidth bandwidth);
-
-    /**
-     * Live share-weight change for one endpoint (re-prioritizing a
-     * camera mid-run). Settles history at the old weights first.
-     */
-    void setWeight(int endpoint, double weight);
-
-    /** Current link state (thread-safe snapshot). */
-    NetworkLink link() const;
-    const Options &options() const { return opts; }
-
     /** Per-endpoint accounting snapshot (thread-safe). */
     std::vector<LinkEndpointReport> report() const;
 
   private:
+    /** What an endpoint has in flight on the core. */
+    enum class Flow
+    {
+        None,
+        Frame, ///< acquire() waits for these bytes
+        Bank,  ///< bytes are through; draining into the bank
+    };
+
     struct Endpoint
     {
-        std::string name;
-        double weight = 1.0;
-        bool active = false;    ///< a transmission is in flight
-        double remaining = 0.0; ///< bytes left to drain (may go < 0)
-        double bank = 0.0;      ///< banked overshoot, bounded by burst
-        /** Radio joules integrated for the in-flight transmission at
-         *  the per-bit price in force while each byte drained. */
-        double tx_energy_j = 0.0;
+        Flow flow = Flow::None;
+        double bank = 0.0;  ///< drained bytes no frame has claimed
+        double burst = 0.0; ///< bank bound: two of the latest frame
+        Energy frame_energy; ///< the Frame flow's, set at departure
         int64_t grants = 0;
         double bytes = 0.0;
         double wait_seconds = 0.0;
-        bool released = false;
     };
 
-    /** Drain every eligible in-flight transmission for the clock time
-     *  elapsed since the last call. */
-    void advanceLocked(double now) INCAM_REQUIRES(mu);
+    double modelTime(double clock_t) const INCAM_REQUIRES(mu)
+    {
+        return (clock_t - epoch) / opts.time_scale;
+    }
 
-    /** This endpoint's current drain rate in bytes/s (0 while a
-     *  higher StrictPriority tier transmits). */
-    double drainRateLocked(const Endpoint &ep) const INCAM_REQUIRES(mu);
+    /** Advance the core to model time @p t, one departure at a time,
+     *  so a finished frame starts banking at its departure instant. */
+    void settleLocked(double t) INCAM_REQUIRES(mu);
 
+    /** Book every departure the core popped (the engine rule: after
+     *  each call that settles history). */
+    void resolveLocked() INCAM_REQUIRES(mu);
+
+    /** Keep @p endpoint's share from model time @p t, banking up to
+     *  its burst. */
+    void bankLocked(int endpoint, double t) INCAM_REQUIRES(mu);
+
+    const Options opts;
+    sim::Clock *const clk; ///< non-owning time source
     mutable AnnotatedMutex mu;
-    NetworkLink net INCAM_GUARDED_BY(mu);
-    Options opts;          ///< immutable after construction
-    sim::Clock *clk;       ///< non-owning time source
-    /** goodput / time_scale, real bytes/s. */
-    double rate_bps INCAM_GUARDED_BY(mu) = 0.0;
-    std::condition_variable cv;
+    sim::SimLink core INCAM_GUARDED_BY(mu);
     /** Deque: Endpoint addresses stay stable across addEndpoint, so a
      *  waiter blocked in acquire() never holds a dangling reference. */
     std::deque<Endpoint> endpoints INCAM_GUARDED_BY(mu);
-    /** Clock seconds of the last fluid drain. */
-    double last_advance INCAM_GUARDED_BY(mu) = 0.0;
-    bool clock_started INCAM_GUARDED_BY(mu) = false;
+    std::condition_variable cv;
+    bool started INCAM_GUARDED_BY(mu) = false;
+    /** Clock instant of model time zero. */
+    double epoch INCAM_GUARDED_BY(mu) = 0.0;
+    /** Model time the core is settled to. */
+    double model_t INCAM_GUARDED_BY(mu) = 0.0;
 };
 
 } // namespace incam

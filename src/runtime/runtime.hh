@@ -354,9 +354,9 @@ class StreamingPipeline
     void setContentTrace(const ContentTrace *trace);
 
     /**
-     * Route the uplink stage through a shared arbiter (a fleet's
-     * SharedLink, a trace's DynamicLink) as @p endpoint instead of
-     * the private goodput pacer. The arbiter must outlive the run;
+     * Route the uplink stage through a shared arbiter (a fleet's or a
+     * trace's SharedLink) as @p endpoint instead of the private
+     * goodput pacer. The arbiter must outlive the run;
      * pace_link is then the arbiter's concern, not this pipeline's.
      */
     void attachUplinkArbiter(UplinkArbiter *arbiter, int endpoint);

@@ -2,14 +2,14 @@
  * @file
  * The audited uplink-arbitration contract.
  *
- * Three components implement or consume shared-uplink arbitration —
- * SharedLink (fluid GPS across a fleet), DynamicLink (trace-driven
- * time-varying capacity, solo or wrapping a SharedLink), and the
- * pipeline's delivery loop (retry budgets under a DeliveryPolicy).
- * Their common interface used to live inline in runtime.hh with the
- * semantics scattered across the implementations; this header is the
- * single place the contract is stated, and every implementation is
- * audited against the rules below.
+ * Two components implement or consume shared-uplink arbitration:
+ * fleet/SharedLink, the thread-safe adapter over the one link core
+ * (sim::SimLink: weighted fair sharing, optionally over a
+ * NetworkTrace), and the pipeline's delivery loop (retry budgets
+ * under a DeliveryPolicy). The discrete-event engine drives the same
+ * SimLink directly on model time. This header is the single place the
+ * contract is stated, and every implementation is audited against the
+ * rules below.
  *
  * ## The UplinkArbiter contract
  *
@@ -21,7 +21,9 @@
  *    blocks until the endpoint's fluid share of the link has drained
  *    `bytes`, and prices each drained byte at the per-bit cost of the
  *    link state in force **while it drained** — a transmission
- *    spanning a capacity change is priced piecewise. Wall-clock
+ *    spanning a trace segment boundary is priced piecewise. Bytes
+ *    banked ahead of the transmission (the radio's frame buffer,
+ *    fleet/shared_link.hh) are priced when it claims them. Wall-clock
  *    arbiters block on a condition variable; a virtual-clock arbiter
  *    advances model time synchronously instead (single-threaded by
  *    the VirtualClock contract).
@@ -29,7 +31,8 @@
  *  - *Counting mode* (pace=false): acquire() returns immediately,
  *    pricing the whole transmission at one link state: the trace
  *    state at `trace_time_hint` when a hint >= 0 is given and the
- *    arbiter is trace-driven, else the arbiter's current link state.
+ *    arbiter is trace-driven, else the stationary link (or, under a
+ *    trace, the arbiter's occupancy timeline).
  *    This makes counting-mode energies a pure function of (frame id,
  *    bytes, trace) — independent of host timing and of execution
  *    shape, which is what the cross-shape bit-equivalence tests rely
@@ -43,22 +46,20 @@
  *
  * **release() is idempotent and mandatory.** Every endpoint that ever
  * called acquire() must call release(endpoint) exactly when its
- * stream ends — *including on error paths*: a fluid arbiter shares
- * capacity among *active* endpoints, so a crashed camera that never
- * releases permanently deflates its siblings' rates. Calling
+ * stream ends — *including on error paths*: a fluid arbiter keeps an
+ * endpoint in the share between its transmissions (the bank rule), so
+ * a crashed camera that never releases takes capacity from its
+ * siblings until its bank fills. Calling
  * release() twice, or for an endpoint that never transmitted, is
  * harmless. The runtime guarantees release on every exit path of a
  * run (normal completion, deadline, exception).
  *
- * **Live reconfiguration settles history first.** setLink() /
- * setCapacity() / setWeight() on an arbiter take effect *from the
- * current instant*: the implementation must first advance (settle)
- * all in-flight transmissions' progress under the *old* rates up to
- * now, then swap the parameter, then wake any waiters so they
- * re-derive their finish times. Bytes drained before the call are
- * never repriced. This is what makes a NetworkTrace driving
- * setLink() mid-run equivalent to a link whose capacity is a step
- * function of time.
+ * **Link changes come from the trace, on model time.** Capacity and
+ * per-bit price change only at a NetworkTrace's segment boundaries,
+ * which the core integrates exactly: bytes drained before a boundary
+ * are priced at the old state, bytes after it at the new one, and no
+ * drained byte is ever repriced. There is no live reconfiguration
+ * call.
  *
  * **Thread safety.** All methods may be called concurrently from any
  * camera thread; implementations serialize internally. The ordering
@@ -86,8 +87,8 @@ namespace incam {
 
 /**
  * Arbitrates a shared uplink among registered endpoints. See the file
- * comment for the full audited contract (pricing, release,
- * live-reconfiguration, thread-safety).
+ * comment for the full audited contract (pricing, release, link
+ * changes, thread-safety).
  */
 class UplinkArbiter
 {

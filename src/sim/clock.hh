@@ -3,9 +3,9 @@
  * The time source abstraction under everything that paces or waits.
  *
  * Every timed component of the runtime — TokenBucket pacing,
- * SharedLink's fluid drain, DynamicLink's occupancy timeline, the
- * deadline check, backoff sleeps, latency stamps — reads *some* clock
- * and occasionally sleeps against it. Historically that clock was
+ * SharedLink's paced waits, the deadline check, backoff sleeps,
+ * latency stamps — reads *some* clock and occasionally sleeps against
+ * it. Historically that clock was
  * hard-wired to std::chrono::steady_clock, which welds the runtime to
  * wall time: a 100k-camera fleet cannot be executed because 100k
  * cameras cannot sleep on a core count's worth of threads.

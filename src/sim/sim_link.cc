@@ -1,5 +1,6 @@
 #include "sim/sim_link.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -46,6 +47,15 @@ SimLink::addEndpoint(std::string name, double weight)
     return static_cast<int>(endpoints.size()) - 1;
 }
 
+size_t
+SimLink::index(int endpoint) const
+{
+    incam_assert(endpoint >= 0 &&
+                     static_cast<size_t>(endpoint) < endpoints.size(),
+                 "unknown endpoint ", endpoint);
+    return static_cast<size_t>(endpoint);
+}
+
 SimLink::Piece
 SimLink::pieceAt(double t) const
 {
@@ -78,7 +88,7 @@ SimLink::pieceAt(double t) const
         p.until = kInf; // a non-periodic last segment holds forever
     }
     // Floating-point edge: sitting exactly on a boundary must still
-    // make forward progress (cf. DynamicLink::drainLocked).
+    // make forward progress.
     p.until = std::max(p.until, t + 1e-12);
     return p;
 }
@@ -117,16 +127,13 @@ void
 SimLink::submit(int endpoint, double bytes, double t)
 {
     incam_assert(bytes >= 0.0, "negative transmission size");
-    incam_assert(endpoint >= 0 &&
-                     static_cast<size_t>(endpoint) < endpoints.size(),
-                 "unknown endpoint ", endpoint);
+    Ep &ep = endpoints[index(endpoint)];
     incam_assert(t >= last_t - 1e-9,
                  "submit at ", t, " precedes settled model time ",
                  last_t, ": events processed out of order");
     // Settle history first: bytes drained before this arrival drained
     // under the old active set (may pop departures at earlier times).
     advanceTo(std::max(t, last_t));
-    Ep &ep = endpoints[static_cast<size_t>(endpoint)];
     incam_assert(!ep.active, "endpoint ", endpoint,
                  " has concurrent transmissions (uplinks are serial)");
     Tier &tier = tierOf(ep);
@@ -239,6 +246,31 @@ SimLink::nextDepartureTime() const
     }
 }
 
+double
+SimLink::withdraw(int endpoint)
+{
+    Ep &ep = endpoints[index(endpoint)];
+    Tier &tier = tierOf(ep);
+    auto &items = tier.heap.items();
+    const auto it = std::find_if(
+        items.begin(), items.end(),
+        [endpoint](const HeapItem &h) { return h.endpoint == endpoint; });
+    incam_assert(it != items.end(), "endpoint ", endpoint,
+                 " has no transmission in flight");
+    const double left = std::max(0.0, (it->f - tier.v) * ep.gps_w);
+    const double drained = std::max(0.0, ep.inflight - left);
+    items.erase(it);
+    tier.heap.reheap();
+    ep.active = false;
+    ep.inflight = 0.0;
+    tier.weight_sum -= ep.gps_w;
+    if (tier.heap.empty()) {
+        tier.weight_sum = 0.0; // kill float residue
+    }
+    ++ver;
+    return drained;
+}
+
 std::vector<SimLink::Completion>
 SimLink::takeCompleted()
 {
@@ -254,9 +286,9 @@ SimLink::price(double bytes, double trace_time_hint)
     if (opts.trace == nullptr) {
         return fixed.transferEnergy(DataSize::bytes(bytes));
     }
-    // Mirror DynamicLink's counting mode: price at the frame-clock
-    // hint when present (bit-deterministic), else at the occupancy
-    // timeline, which the grant then advances by transfer time.
+    // Price at the frame-clock hint when present (bit-deterministic),
+    // else at the occupancy timeline, which the grant then advances by
+    // transfer time.
     const double t =
         trace_time_hint >= 0.0 ? trace_time_hint : count_free_t;
     const NetworkLink &l = opts.trace->at(Time::seconds(t));
@@ -268,10 +300,7 @@ SimLink::price(double bytes, double trace_time_hint)
 void
 SimLink::countGrant(int endpoint, double bytes)
 {
-    incam_assert(endpoint >= 0 &&
-                     static_cast<size_t>(endpoint) < endpoints.size(),
-                 "unknown endpoint ", endpoint);
-    Ep &ep = endpoints[static_cast<size_t>(endpoint)];
+    Ep &ep = endpoints[index(endpoint)];
     ++ep.grants;
     ep.bytes += bytes;
 }
@@ -279,10 +308,7 @@ SimLink::countGrant(int endpoint, double bytes)
 void
 SimLink::release(int endpoint)
 {
-    incam_assert(endpoint >= 0 &&
-                     static_cast<size_t>(endpoint) < endpoints.size(),
-                 "unknown endpoint ", endpoint);
-    endpoints[static_cast<size_t>(endpoint)].released = true;
+    endpoints[index(endpoint)].released = true;
 }
 
 std::vector<LinkEndpointReport>

@@ -1,14 +1,16 @@
 /**
  * @file
- * SimLink — the discrete-event engine's shared-uplink model.
+ * SimLink — the one shared-uplink core.
  *
- * fleet/SharedLink divides one medium by fluid weighted fair sharing
- * and blocks each caller's thread until its bytes drain. A 100k-camera
- * gateway cannot afford one blocked thread per camera, so the event
- * engine needs the *same fluid model* expressed as data: given the
- * set of in-flight transmissions, when does the next one finish?
+ * A fleet's cameras share one medium, and whoever divides it decides
+ * each camera's goodput share. SimLink divides it by fluid weighted
+ * fair sharing (generalized processor sharing) and models it as data:
+ * given the set of in-flight transmissions, when does the next one
+ * finish? The discrete-event engine drives it on model time, and
+ * fleet/SharedLink holds one under a mutex so camera threads can
+ * arbitrate through it on a wall or virtual clock.
  *
- * SimLink answers that with GPS virtual time. A tier's virtual clock v
+ * SimLink answers with GPS virtual time. A tier's virtual clock v
  * advances at capacity / (total active weight), so every in-flight
  * transmission finishes at the fixed virtual instant
  *
@@ -20,27 +22,28 @@
  * rate change. Radio energy uses the same trick: a tier integrates
  * S = per-bit price dv, and a transmission's joules are
  * weight x (S(depart) - S(submit)) x 8 — exact under mid-flight
- * setLink-style price changes, O(1) per transmission.
+ * price changes, O(1) per transmission.
  *
- * Policies mirror SharedLink: Fair (one tier, unit weights), Weighted
- * (one tier, share weights), StrictPriority (one tier per rank; only
- * the highest tier with traffic drains, ties sharing evenly). A
- * NetworkTrace makes capacity and price piecewise: advances split at
- * segment boundaries, so drains and energies integrate segment-exact
- * like trace/DynamicLink's fluid timeline.
+ * Policies: Fair (one tier, unit weights), Weighted (one tier, share
+ * weights), StrictPriority (one tier per rank; only the highest tier
+ * with traffic drains, ties sharing evenly). A NetworkTrace makes
+ * capacity and price piecewise: advances split at segment boundaries,
+ * so drains and energies integrate segment-exact.
  *
  * Counting mode (the bit-equivalence gate) never models the medium:
- * price() reproduces the threaded arbiters' deterministic pricing —
+ * price() prices a transmission at one deterministic link state —
  * trace.at(frame-clock hint) under a trace, the stationary link
  * otherwise — and countGrant() keeps the per-endpoint books.
  *
- * Single-threaded by design: only the event engine touches it, on
- * model time. No locks, no waiting — time is an argument.
+ * Single-threaded by design: no locks, no waiting — time is an
+ * argument. Callers serialize access (the engine's event loop, or
+ * SharedLink's mutex).
  */
 
 #ifndef INCAM_SIM_SIM_LINK_HH
 #define INCAM_SIM_SIM_LINK_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <queue>
@@ -95,6 +98,14 @@ class SimLink
     /** Settle drains (and pop departures) up to model time @p t. */
     void advanceTo(double t);
 
+    /**
+     * End @p endpoint's in-flight transmission at the settled model
+     * time and return the bytes it drained. The withdrawn bytes are
+     * not booked as a grant. O(endpoints): for SharedLink, never on
+     * the engine's per-event path.
+     */
+    double withdraw(int endpoint);
+
     /** One finished transmission. */
     struct Completion
     {
@@ -119,7 +130,7 @@ class SimLink
      * Deterministic price of @p bytes at frame-clock position
      * @p trace_time_hint: the trace segment in force there (falling
      * back to the occupancy timeline when the hint is negative), or
-     * the stationary link. Mirrors DynamicLink / SharedLink counting.
+     * the stationary link.
      */
     Energy price(double bytes, double trace_time_hint);
 
@@ -162,6 +173,15 @@ class SimLink
         }
     };
 
+    /** Departure heap whose entries withdraw() can reach; the
+     *  per-event path uses only the queue interface. */
+    struct Heap
+        : std::priority_queue<HeapItem, std::vector<HeapItem>, HeapLater>
+    {
+        std::vector<HeapItem> &items() { return c; }
+        void reheap() { std::make_heap(c.begin(), c.end(), comp); }
+    };
+
     /** One GPS sharing class: the whole link (Fair/Weighted) or one
      *  priority rank (StrictPriority). */
     struct Tier
@@ -169,8 +189,7 @@ class SimLink
         double v = 0.0;          ///< virtual time, in bytes/weight
         double s = 0.0;          ///< integral of ebit_j dv
         double weight_sum = 0.0; ///< total weight in flight
-        std::priority_queue<HeapItem, std::vector<HeapItem>, HeapLater>
-            heap;
+        Heap heap;
     };
 
     struct Ep
@@ -188,6 +207,8 @@ class SimLink
         bool released = false;
     };
 
+    /** @p endpoint's index in `endpoints`; panics on an unknown id. */
+    size_t index(int endpoint) const;
     /** The tier currently draining: the only tier, or the highest
      *  rank with traffic in flight. Null when the medium is idle. */
     Tier *activeTier();

@@ -703,7 +703,9 @@ TEST(DegradeToLocal, FleetDegradesAndHealsUnderSharedBlackout)
         };
         fleet.addCamera(std::move(cam));
     }
-    const FleetRunReport rep = fleet.run();
+    RunOptions per_camera;
+    per_camera.mode = ExecutionMode::ThreadPerCamera;
+    const FleetRunReport rep = fleet.run(per_camera);
 
     // Ticker-driven degrade + heal, fleet-wide.
     EXPECT_EQ(ctl.switches(), 2);

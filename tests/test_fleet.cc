@@ -5,8 +5,8 @@
  * fleet model, and the fleet-level configuration optimizer.
  *
  * Like test_runtime.cc, timing assertions appear only where the
- * debt-based pacing makes long-run rates exact, and carry generous
- * tolerances; everything else asserts counts, bytes and energies,
+ * pacing makes long-run rates or a wake instant exact, and carry
+ * generous tolerances; everything else asserts counts, bytes and energies,
  * which are exact arithmetic and survive the sanitizer CI jobs at
  * INCAM_THREADS = 1, 2 and 8.
  */
@@ -21,6 +21,7 @@
 #include "fa/scenario.hh"
 #include "fleet/fleet.hh"
 #include "fleet/shared_link.hh"
+#include "sim/clock.hh"
 #include "vr/scenario.hh"
 
 namespace incam {
@@ -31,6 +32,15 @@ double
 relError(double measured, double expected)
 {
     return std::abs(measured - expected) / expected;
+}
+
+/** The fleet's one-serial-loop-per-camera shape. */
+RunOptions
+perCamera()
+{
+    RunOptions ro;
+    ro.mode = ExecutionMode::ThreadPerCamera;
+    return ro;
 }
 
 /** A link whose numbers are easy to reason about in tests. */
@@ -70,7 +80,6 @@ TEST(SharedLink, FairSplitBetweenBackloggedEndpoints)
     // two backlogged endpoints should interleave ~1:1.
     SharedLink::Options opts;
     opts.policy = SharePolicy::Fair;
-    opts.burst_bytes = 200.0;
     SharedLink link(testLink(200e3), opts);
     const int a = link.addEndpoint("a");
     const int b = link.addEndpoint("b");
@@ -111,7 +120,6 @@ TEST(SharedLink, WeightedSplitFollowsWeights)
 {
     SharedLink::Options opts;
     opts.policy = SharePolicy::Weighted;
-    opts.burst_bytes = 200.0;
     SharedLink link(testLink(200e3), opts);
     const int heavy = link.addEndpoint("heavy", 3.0);
     const int light = link.addEndpoint("light", 1.0);
@@ -148,7 +156,6 @@ TEST(SharedLink, StrictPriorityStarvesLowTierUnderBacklog)
     // almost never wins the medium while they run.
     SharedLink::Options opts;
     opts.policy = SharePolicy::StrictPriority;
-    opts.burst_bytes = 200.0;
     SharedLink link(testLink(200e3), opts);
     const int h1 = link.addEndpoint("h1", 2.0);
     const int h2 = link.addEndpoint("h2", 2.0);
@@ -182,6 +189,102 @@ TEST(SharedLink, StrictPriorityStarvesLowTierUnderBacklog)
     // The low tier saw at most a small leak of the 300 high grants'
     // worth of medium time.
     EXPECT_LT(low_at_finish, high_grants / 2);
+}
+
+TEST(SharedLink, BankCarriesDrainBetweenFramesUpToBurst)
+{
+    // On a VirtualClock the paced path is exact. An endpoint keeps its
+    // share after its bytes are through; what drains until its next
+    // acquire, up to a bank of two frames (200 B), covers its next
+    // frames.
+    sim::VirtualClock clk;
+    SharedLink::Options opts;
+    opts.clock = &clk;
+    SharedLink link(testLink(1000.0), opts);
+    const int e = link.addEndpoint("cam");
+    link.start();
+
+    EXPECT_DOUBLE_EQ(link.acquire(e, 100.0).nj(), 100.0 * 8.0);
+    EXPECT_DOUBLE_EQ(clk.now(), 0.1);
+    clk.sleepUntil(1.1); // idle 1 s: the bank fills to 200 B, no more
+    EXPECT_DOUBLE_EQ(link.acquire(e, 100.0).nj(), 100.0 * 8.0);
+    EXPECT_DOUBLE_EQ(link.acquire(e, 100.0).nj(), 100.0 * 8.0);
+    EXPECT_DOUBLE_EQ(clk.now(), 1.1); // both came from the bank
+    EXPECT_DOUBLE_EQ(link.acquire(e, 100.0).nj(), 100.0 * 8.0);
+    EXPECT_NEAR(clk.now(), 1.2, 1e-12); // the bank was empty
+    link.release(e);
+}
+
+TEST(SharedLink, BankKeepsTheShareUntilRelease)
+{
+    sim::VirtualClock clk;
+    SharedLink::Options opts;
+    opts.clock = &clk;
+    SharedLink link(testLink(1000.0), opts);
+    const int a = link.addEndpoint("a");
+    const int b = link.addEndpoint("b");
+    link.start();
+
+    link.acquire(a, 100.0); // alone: through at 0.1, then banking
+    link.acquire(b, 100.0); // shares with a's bank at 500 B/s
+    EXPECT_NEAR(clk.now(), 0.3, 1e-12);
+    link.release(a); // a's bank stops draining
+    link.acquire(b, 100.0); // b alone at 1000 B/s
+    EXPECT_NEAR(clk.now(), 0.4, 1e-12);
+    link.release(b);
+}
+
+TEST(SharedLink, WaiterWakesWhenAnotherBankFills)
+{
+    // A departure no acquire waits for still speeds the survivors: a's
+    // bank fills at 0.5 and b drains alone after it, so b's frame is
+    // through at 1.3, not at 2.1 (its departure under the sharing in
+    // force when it was submitted).
+    sim::VirtualClock clk;
+    SharedLink::Options opts;
+    opts.clock = &clk;
+    SharedLink link(testLink(1000.0), opts);
+    const int a = link.addEndpoint("a");
+    const int b = link.addEndpoint("b");
+    link.start();
+
+    link.acquire(a, 100.0); // through at 0.1, then banking 200 B
+    const Energy e = link.acquire(b, 1000.0); // 200 B at 500 B/s, then
+                                              // 800 B at 1000 B/s
+    EXPECT_NEAR(clk.now(), 1.3, 1e-12);
+    EXPECT_NEAR(e.nj(), 1000.0 * 8.0, 1e-6);
+    link.release(a);
+    link.release(b);
+}
+
+TEST(SharedLink, WaiterWakesWhenAnotherEndpointLeavesTheShare)
+{
+    // On the wall clock, b waits on the condition variable for its
+    // departure at 0.3, sharing with a's bank. At 0.15 a's bank covers
+    // a 10 B frame, a's share ends 5 B later, and b is through at 0.23
+    // unless nothing wakes it before 0.3. One model second takes 5 s,
+    // so host jitter stays well inside the margin.
+    sim::WallClock clk;
+    SharedLink::Options opts;
+    opts.time_scale = 5.0;
+    opts.clock = &clk;
+    SharedLink link(testLink(1000.0), opts);
+    const int a = link.addEndpoint("a");
+    const int b = link.addEndpoint("b");
+    link.start();
+
+    link.acquire(a, 100.0); // through at 0.1, then banking 200 B
+    double b_done = 0.0;
+    std::thread tb([&] {
+        link.acquire(b, 100.0);
+        b_done = link.traceTime().sec();
+    });
+    clk.sleepUntil(clk.now() + (0.15 - link.traceTime().sec()) * 5.0);
+    link.acquire(a, 10.0);
+    tb.join();
+    EXPECT_LT(b_done, 0.265);
+    link.release(a);
+    link.release(b);
 }
 
 TEST(SharedLink, CountingModeAccountsWithoutPacing)
@@ -233,7 +336,7 @@ TEST(Fleet, CountingModeIsExactAcrossMixedFaVrFleet)
         fleet.addCamera(std::move(cam));
     }
 
-    const FleetRunReport rep = fleet.run();
+    const FleetRunReport rep = fleet.run(perCamera());
     ASSERT_EQ(rep.cameras.size(), 4u);
 
     // fa-raw: nothing gates, every frame crosses raw.
@@ -292,7 +395,7 @@ TEST(Fleet, MeasuredFpsTracksFleetModel)
         EXPECT_TRUE(share.link_bound);
     }
 
-    const FleetRunReport rep = fleet.run();
+    const FleetRunReport rep = fleet.run(perCamera());
     for (size_t i = 0; i < 3; ++i) {
         EXPECT_EQ(rep.cameras[i].runtime.delivered_frames, 30);
         EXPECT_LT(relError(rep.cameras[i].runtime.model_fps,
@@ -318,7 +421,6 @@ TEST(Fleet, ClosingOneCameraFreesItsShareWithoutStallingSiblings)
 
     FleetOptions opts;
     opts.gating = GatingMode::None;
-    opts.threaded_stages = true;
     opts.queue_capacity = 4;
     CameraFleet fleet(link, opts);
 
@@ -332,7 +434,9 @@ TEST(Fleet, ClosingOneCameraFreesItsShareWithoutStallingSiblings)
     b.frames = 160;
     fleet.addCamera(std::move(b));
 
-    const FleetRunReport rep = fleet.run();
+    RunOptions stages;
+    stages.mode = ExecutionMode::ThreadedStages;
+    const FleetRunReport rep = fleet.run(stages);
     const FleetCameraReport &ra = rep.cameras[0];
     const FleetCameraReport &rb = rep.cameras[1];
 
@@ -368,7 +472,7 @@ TEST(Fleet, ScalesToSixtyFourInlineCameras)
         cam.frames = 40;
         fleet.addCamera(std::move(cam));
     }
-    const FleetRunReport rep = fleet.run();
+    const FleetRunReport rep = fleet.run(perCamera());
     ASSERT_EQ(rep.cameras.size(), 64u);
     for (const FleetCameraReport &cam : rep.cameras) {
         EXPECT_EQ(cam.runtime.delivered_frames, 40);
@@ -388,8 +492,8 @@ TEST(Fleet, InstancesAreSingleUse)
     FleetCamera cam("solo", p, PipelineConfig::full(p, Impl::Asic, 1));
     cam.frames = 4;
     fleet.addCamera(std::move(cam));
-    (void)fleet.run();
-    EXPECT_DEATH((void)fleet.run(), "single-use");
+    (void)fleet.run(perCamera());
+    EXPECT_DEATH((void)fleet.run(perCamera()), "single-use");
 }
 
 // ---------------------------------------------------------------------

@@ -27,13 +27,13 @@
 #include "fa/scenario.hh"
 #include "fault/fault.hh"
 #include "fleet/fleet.hh"
+#include "fleet/shared_link.hh"
 #include "runtime/pacer.hh"
 #include "runtime/runtime.hh"
 #include "sim/clock.hh"
 #include "sim/engine.hh"
 #include "sim/scheduler.hh"
 #include "sim/sim_link.hh"
-#include "trace/dynamic_link.hh"
 #include "trace/trace.hh"
 #include "vr/scenario.hh"
 
@@ -334,7 +334,7 @@ TEST(Sim, SoloAdaptiveDecisionsMatchAcrossShapes)
 
 TEST(Sim, SoloTracePacedRunExecutesOnModelTime)
 {
-    // A trace-paced pipeline on a VirtualClock: DynamicLink's fluid
+    // A trace-paced pipeline on a VirtualClock: SharedLink's fluid
     // drain advances model time instead of sleeping, so the run is
     // immediate in wall time while the *model* numbers come out link
     // bound. 1000-byte raw frames on a 50 kB/s first segment = 50 FPS.
@@ -347,12 +347,13 @@ TEST(Sim, SoloTracePacedRunExecutesOnModelTime)
     RuntimeOptions opts;
     opts.frames = 200;
     opts.gating = GatingMode::None;
-    DynamicLink::Options dopts;
-    dopts.clock = &clk;
-    DynamicLink dyn(trace, dopts);
+    SharedLink::Options lopts;
+    lopts.trace = &trace;
+    lopts.clock = &clk;
+    SharedLink link(trace.at(Time{}), lopts);
     StreamingPipeline sp(pipe, PipelineConfig::full(pipe, Impl::Asic, 0),
                          trace.at(Time{}), opts);
-    sp.attachUplinkArbiter(&dyn, 0);
+    sp.attachUplinkArbiter(&link, link.addEndpoint("cam"));
     RunOptions ro;
     ro.mode = ExecutionMode::Inline;
     ro.clock = &clk;
@@ -370,7 +371,8 @@ TEST(Sim, SoloTracePacedRunExecutesOnModelTime)
 // Fleet: discrete-event vs thread-per-camera
 // ---------------------------------------------------------------------
 
-/** FA rig fleets, counting mode, with a shared fault plan: the ledgers
+/** FA rig fleets, counting mode, with a shared fault plan, on a
+ *  stationary link and on a Gilbert-Elliott fading trace: the ledgers
  *  of every camera must be bit-identical across execution shapes. */
 TEST(Sim, FleetDiscreteEventMatchesThreadPerCameraBitExact)
 {
@@ -383,55 +385,67 @@ TEST(Sim, FleetDiscreteEventMatchesThreadPerCameraBitExact)
                      Time::seconds(3.0)}};
     const FaultInjector inj(plan);
     const NetworkLink link = radioLink("shared", 8e6, 1.0);
+    const NetworkTrace fading = NetworkTrace::gilbertElliott(
+        link, radioLink("faded", 1e6, 6.0),
+        GilbertElliottParams{.p_good_to_bad = 0.15,
+                             .p_bad_to_good = 0.35,
+                             .step = Time::seconds(2.0),
+                             .duration = Time::seconds(60.0),
+                             .seed = 5});
 
-    for (const size_t n_cams : {1u, 4u, 8u}) {
-        auto run = [&](ExecutionMode mode) {
-            FleetOptions fopts;
-            fopts.gating = GatingMode::Model;
-            fopts.pace_stages = false;
-            fopts.pace_link = false;
-            fopts.trace_fps = 4.0;
-            fopts.faults = &inj;
-            fopts.delivery.max_retries = 2;
-            fopts.delivery.ack_timeout = 0.02;
-            fopts.delivery.backoff_base = 0.05;
-            CameraFleet fleet(link, fopts);
+    const NetworkTrace *const traces[] = {nullptr, &fading};
+    for (const NetworkTrace *trace : traces) {
+        for (const size_t n_cams : {1u, 4u, 8u}) {
+            SCOPED_TRACE(trace != nullptr ? "fading trace" : "stationary");
+            auto run = [&](ExecutionMode mode) {
+                FleetOptions fopts;
+                fopts.network_trace = trace;
+                fopts.gating = GatingMode::Model;
+                fopts.pace_stages = false;
+                fopts.pace_link = false;
+                fopts.trace_fps = 4.0;
+                fopts.faults = &inj;
+                fopts.delivery.max_retries = 2;
+                fopts.delivery.ack_timeout = 0.02;
+                fopts.delivery.backoff_base = 0.05;
+                CameraFleet fleet(link, fopts);
+                for (size_t i = 0; i < n_cams; ++i) {
+                    FleetCamera cam(
+                        "cam" + std::to_string(i), fa,
+                        PipelineConfig::full(fa, Impl::Asic,
+                                             i % 2 == 0 ? 0 : 2));
+                    cam.frames = 120;
+                    fleet.addCamera(std::move(cam));
+                }
+                RunOptions ro;
+                ro.mode = mode;
+                return fleet.run(ro);
+            };
+            const FleetRunReport des = run(ExecutionMode::DiscreteEvent);
+            const FleetRunReport threaded =
+                run(ExecutionMode::ThreadPerCamera);
+
+            ASSERT_EQ(des.cameras.size(), n_cams);
+            EXPECT_TRUE(des.ledger.consistent());
+            expectSameLedger(des.ledger, threaded.ledger);
             for (size_t i = 0; i < n_cams; ++i) {
-                FleetCamera cam(
-                    "cam" + std::to_string(i), fa,
-                    PipelineConfig::full(fa, Impl::Asic,
-                                         i % 2 == 0 ? 0 : 2));
-                cam.frames = 120;
-                fleet.addCamera(std::move(cam));
+                SCOPED_TRACE(des.cameras[i].name);
+                expectSameLedger(des.cameras[i].runtime.ledger,
+                                 threaded.cameras[i].runtime.ledger);
+                EXPECT_DOUBLE_EQ(
+                    des.cameras[i].runtime.total_energy().j(),
+                    threaded.cameras[i].runtime.total_energy().j());
+                EXPECT_EQ(des.cameras[i].link.grants,
+                          threaded.cameras[i].link.grants);
+                EXPECT_DOUBLE_EQ(des.cameras[i].link.bytes.b(),
+                                 threaded.cameras[i].link.bytes.b());
+                EXPECT_TRUE(des.cameras[i].link.released);
             }
-            RunOptions ro;
-            ro.mode = mode;
-            return fleet.run(ro);
-        };
-        const FleetRunReport des = run(ExecutionMode::DiscreteEvent);
-        const FleetRunReport threaded =
-            run(ExecutionMode::ThreadPerCamera);
-
-        ASSERT_EQ(des.cameras.size(), n_cams);
-        EXPECT_TRUE(des.ledger.consistent());
-        expectSameLedger(des.ledger, threaded.ledger);
-        for (size_t i = 0; i < n_cams; ++i) {
-            SCOPED_TRACE(des.cameras[i].name);
-            expectSameLedger(des.cameras[i].runtime.ledger,
-                             threaded.cameras[i].runtime.ledger);
-            EXPECT_DOUBLE_EQ(
-                des.cameras[i].runtime.total_energy().j(),
-                threaded.cameras[i].runtime.total_energy().j());
-            EXPECT_EQ(des.cameras[i].link.grants,
-                      threaded.cameras[i].link.grants);
-            EXPECT_DOUBLE_EQ(des.cameras[i].link.bytes.b(),
-                             threaded.cameras[i].link.bytes.b());
-            EXPECT_TRUE(des.cameras[i].link.released);
+            EXPECT_DOUBLE_EQ(des.total_energy.j(),
+                             threaded.total_energy.j());
+            EXPECT_DOUBLE_EQ(des.uplink_bytes.b(),
+                             threaded.uplink_bytes.b());
         }
-        EXPECT_DOUBLE_EQ(des.total_energy.j(),
-                         threaded.total_energy.j());
-        EXPECT_DOUBLE_EQ(des.uplink_bytes.b(),
-                         threaded.uplink_bytes.b());
     }
 }
 

@@ -2,10 +2,10 @@
  * @file
  * Tests for the trace subsystem: schedule construction and lookup,
  * generator determinism (the identical-seed contract every adaptive
- * test builds on), the security-video content bridge, and
- * DynamicLink's trace-integrated pacing and pricing.
+ * test builds on), the security-video content bridge, and a
+ * trace-driven SharedLink's pacing and pricing.
  *
- * Everything except the one paced DynamicLink test is pure arithmetic
+ * Everything except the one paced SharedLink test is pure arithmetic
  * — exact comparisons, immune to host load.
  */
 
@@ -14,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/network.hh"
-#include "trace/dynamic_link.hh"
+#include "fleet/shared_link.hh"
 #include "trace/trace.hh"
 #include "workload/video.hh"
 
@@ -190,40 +190,42 @@ TEST(ContentTrace, WindowsMatchSecurityVideoTruthExactly)
     }
 }
 
-TEST(DynamicLink, CountingModePricesAtTheFrameClock)
+TEST(TraceSharedLink, CountingModePricesAtTheFrameClock)
 {
     const NetworkTrace t = NetworkTrace::steps(
         makeLink("base", 1000.0, 10.0), {1.0, 0.5}, Time::seconds(10.0));
-    DynamicLink::Options opts;
+    SharedLink::Options opts;
+    opts.trace = &t;
     opts.pace = false;
-    DynamicLink link(t, opts);
+    SharedLink link(t.at(Time{}), opts);
+    const int e = link.addEndpoint("cam");
 
     // Frame pinned at t=2 s: segment 0 pricing, exactly.
-    const Energy e0 = link.acquire(0, 100.0, 2.0);
+    const Energy e0 = link.acquire(e, 100.0, 2.0);
     EXPECT_DOUBLE_EQ(e0.nj(), 100.0 * 8.0 * 10.0);
     // Frame pinned at t=15 s: segment 1 (half bandwidth, 2x price).
-    const Energy e1 = link.acquire(0, 100.0, 15.0);
+    const Energy e1 = link.acquire(e, 100.0, 15.0);
     EXPECT_DOUBLE_EQ(e1.nj(), 100.0 * 8.0 * 20.0);
-    EXPECT_EQ(link.segmentSwitches(), 1);
 }
 
-TEST(DynamicLink, CountingModeWithoutHintAdvancesOccupancy)
+TEST(TraceSharedLink, CountingModeWithoutHintAdvancesOccupancy)
 {
     // 1000 B/s for 1 s, then 100 B/s. Three 500-byte frames occupy
     // the timeline back to back: [0,0.5) and [0.5,1.0) in segment 0,
     // then segment 1.
     const NetworkTrace t = NetworkTrace::steps(
         makeLink("base", 1000.0, 1.0), {1.0, 0.1}, Time::seconds(1.0));
-    DynamicLink::Options opts;
+    SharedLink::Options opts;
+    opts.trace = &t;
     opts.pace = false;
-    DynamicLink link(t, opts);
-    EXPECT_DOUBLE_EQ(link.acquire(0, 500.0).nj(), 500.0 * 8.0 * 1.0);
-    EXPECT_DOUBLE_EQ(link.acquire(0, 500.0).nj(), 500.0 * 8.0 * 1.0);
-    EXPECT_DOUBLE_EQ(link.acquire(0, 500.0).nj(), 500.0 * 8.0 * 10.0);
-    EXPECT_DOUBLE_EQ(link.traceTime().sec(), 1.0 + 500.0 / 100.0);
+    SharedLink link(t.at(Time{}), opts);
+    const int e = link.addEndpoint("cam");
+    EXPECT_DOUBLE_EQ(link.acquire(e, 500.0).nj(), 500.0 * 8.0 * 1.0);
+    EXPECT_DOUBLE_EQ(link.acquire(e, 500.0).nj(), 500.0 * 8.0 * 1.0);
+    EXPECT_DOUBLE_EQ(link.acquire(e, 500.0).nj(), 500.0 * 8.0 * 10.0);
 }
 
-TEST(DynamicLink, PacedDrainIntegratesAcrossSegments)
+TEST(TraceSharedLink, PacedDrainIntegratesAcrossSegments)
 {
     // 1000 B/s (1 nJ/bit) for 0.05 trace-s, then 200 B/s (5 nJ/bit).
     // A 60-byte transmission arriving at t=0 drains 50 bytes in the
@@ -233,17 +235,19 @@ TEST(DynamicLink, PacedDrainIntegratesAcrossSegments)
     segs.push_back({Time::seconds(0.05), makeLink("slow", 200.0, 5.0)});
     const NetworkTrace t = NetworkTrace::piecewise("fade", segs);
 
-    DynamicLink::Options opts;
-    opts.time_scale = 1.0;
-    DynamicLink link(t, opts);
+    SharedLink::Options opts;
+    opts.trace = &t;
+    SharedLink link(t.at(Time{}), opts);
+    const int e = link.addEndpoint("cam");
     link.start();
-    const Energy e = link.acquire(0, 60.0);
+    const Energy en = link.acquire(e, 60.0);
+    link.release(e);
     // Start-up jitter can push the transmission start slightly past
     // t=0, shifting a few bytes from fast to slow pricing; the energy
     // must land between all-fast and the exact split + slack.
     const double exact_nj = 50.0 * 8.0 * 1.0 + 10.0 * 8.0 * 5.0;
-    EXPECT_GE(e.nj(), 60.0 * 8.0 * 1.0 * 0.999);
-    EXPECT_LE(e.nj(), exact_nj * 1.25);
+    EXPECT_GE(en.nj(), 60.0 * 8.0 * 1.0 * 0.999);
+    EXPECT_LE(en.nj(), exact_nj * 1.25);
     // The transmission spanned the boundary (or started after it only
     // under absurd start-up delay).
     EXPECT_GE(link.traceTime().sec(), 0.05);
