@@ -62,8 +62,8 @@
 #include "core/network.hh"
 #include "core/optimizer.hh"
 #include "fa/scenario.hh"
-#include "fleet/shared_link.hh"
 #include "runtime/runtime.hh"
+#include "runtime/uplink.hh"
 #include "trace/trace.hh"
 #include "vr/pipeline_model.hh"
 #include "vr/scenario.hh"
@@ -449,7 +449,7 @@ runEnergyScenario(const std::string &name, const Pipeline &base,
     lopts.trace = c.net;
     lopts.pace = false;
     SharedLink link(c.net->at(Time{}), lopts);
-    sp.attachUplinkArbiter(&link, link.addEndpoint("fa"));
+    sp.attachSharedLink(&link, link.addEndpoint("fa"));
 
     AdaptiveController ctl(base, c.net->averageLink(),
                            energyControllerOptions(source_fps));
@@ -513,7 +513,7 @@ runVrScenario(const std::string &name, const Conditions &c,
     lopts.trace = c.net;
     lopts.time_scale = time_scale;
     SharedLink link(c.net->at(Time{}), lopts);
-    sp.attachUplinkArbiter(&link, link.addEndpoint("vr"));
+    sp.attachSharedLink(&link, link.addEndpoint("vr"));
 
     ControllerOptions copts;
     copts.goal = goal;

@@ -15,7 +15,8 @@
  * filling): cameras demanding less than their weighted share keep
  * their demand, and the residual capacity is re-divided among the
  * still-backlogged cameras by weight — the steady state a
- * work-conserving weighted arbiter (fleet/SharedLink) converges to.
+ * work-conserving weighted arbiter (SharedLink, runtime/uplink.hh)
+ * converges to.
  * StrictPriority instead allocates in priority order, each tier
  * taking what it demands before the next tier sees any capacity.
  *

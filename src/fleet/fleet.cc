@@ -118,33 +118,31 @@ CameraFleet::run(const RunOptions &options)
                  "fleet shapes own their clocks: RunOptions::clock is "
                  "a solo-pipeline knob");
     switch (options.mode) {
-      case ExecutionMode::ThreadedStages:
-        return runThreaded(options, true);
       case ExecutionMode::ThreadPerCamera:
-        return runThreaded(options, false);
+        return runThreadPerCamera(options);
       case ExecutionMode::DiscreteEvent:
         return runDiscreteEvent(options);
+      case ExecutionMode::ThreadedStages:
       case ExecutionMode::Inline:
         incam_panic("a fleet's serial shape is ThreadPerCamera (one "
                     "inline loop per camera); ExecutionMode::Inline "
-                    "is solo-pipeline only");
+                    "and ThreadedStages are solo-pipeline only");
     }
     incam_panic("unknown ExecutionMode");
 }
 
 FleetRunReport
-CameraFleet::runThreaded(const RunOptions &options,
-                         bool threaded_stages)
+CameraFleet::runThreadPerCamera(const RunOptions &options)
 {
     incam_assert(!ThreadPool::inWorker(),
                  "a fleet cannot run nested inside a thread-pool "
                  "worker: camera loops need real concurrency");
     const size_t n = cams.size();
 
-    // The arbiter replaces every camera's private uplink pacer. Each
-    // camera banks two of its own frames: a bound sized to the fleet's
-    // largest frame would let a camera with small frames hold a share
-    // of the medium it never uses.
+    // One link replaces every camera's own. Each camera banks two of
+    // its own frames: a bound sized to the fleet's largest frame would
+    // let a camera with small frames hold a share of the medium it
+    // never uses.
     SharedLink::Options link_opts;
     link_opts.policy = opts.policy;
     link_opts.trace = opts.network_trace;
@@ -159,7 +157,7 @@ CameraFleet::runThreaded(const RunOptions &options,
             cam.pipeline, cam.config, net,
             cameraRuntimeOptions(opts, cam));
         const int endpoint = shared.addEndpoint(cam.name, cam.weight);
-        sp->attachUplinkArbiter(&shared, endpoint);
+        sp->attachSharedLink(&shared, endpoint);
         if (opts.faults != nullptr) {
             // The camera identifies to the shared fault oracle as its
             // fleet index, so crash windows and hash streams are per
@@ -189,60 +187,24 @@ CameraFleet::runThreaded(const RunOptions &options,
     };
 
     // Elapsed time comes from the run's clock, not a raw steady_clock
-    // read: threaded fleet shapes run on the shared WallClock (same
+    // read: the threaded fleet runs on the shared WallClock (same
     // timebase every camera pipeline stamps latencies against), and
     // the determinism linter keeps raw wall-clock reads confined to
     // sim/clock — the boundary a future injected-clock fleet relies on.
     sim::Clock &run_clock = sim::WallClock::shared();
     const double t0 = run_clock.now();
-    if (!threaded_stages) {
-        // One serial camera loop per pool chunk; all run concurrently.
-        incam_assert(
-            n <= static_cast<size_t>(ThreadPool::kMaxWorkers) + 1,
-            "fleet has ", n, " cameras but the thread pool caps at ",
-            ThreadPool::kMaxWorkers + 1, " concurrent participants");
-        ThreadPool::global().run(
-            static_cast<uint64_t>(n), static_cast<int>(n),
-            [&](uint64_t c) {
-                try {
-                    reports[c] = pipes[c]->runInline();
-                } catch (...) {
-                    record(std::current_exception());
-                }
-            });
-    } else {
-        // Every stage of every camera is one chunk of a single
-        // fork-join job, so all the queued stage loops of the whole
-        // fleet run concurrently.
-        std::vector<std::pair<size_t, int>> slots;
-        for (size_t i = 0; i < n; ++i) {
-            for (int s = 0; s < pipes[i]->stageCount(); ++s) {
-                slots.emplace_back(i, s);
-            }
-        }
-        incam_assert(
-            slots.size() <=
-                static_cast<size_t>(ThreadPool::kMaxWorkers) + 1,
-            "fleet needs ", slots.size(),
-            " concurrent stage loops but the thread pool caps at ",
-            ThreadPool::kMaxWorkers + 1,
-            " participants; use inline cameras for large fleets");
-        for (auto &sp : pipes) {
-            sp->beginRun();
-        }
-        ThreadPool::global().run(
-            static_cast<uint64_t>(slots.size()),
-            static_cast<int>(slots.size()), [&](uint64_t c) {
-                pipes[slots[c].first]->runStage(slots[c].second);
-            });
-        for (size_t i = 0; i < n; ++i) {
+    // One serial camera loop per pool chunk; all run concurrently.
+    incam_assert(n <= static_cast<size_t>(ThreadPool::kMaxWorkers) + 1,
+                 "fleet has ", n, " cameras but the thread pool caps at ",
+                 ThreadPool::kMaxWorkers + 1, " concurrent participants");
+    ThreadPool::global().run(
+        static_cast<uint64_t>(n), static_cast<int>(n), [&](uint64_t c) {
             try {
-                reports[i] = pipes[i]->finishRun();
+                reports[c] = pipes[c]->runInline();
             } catch (...) {
                 record(std::current_exception());
             }
-        }
-    }
+        });
     const double wall = run_clock.now() - t0;
     if (first_error) {
         std::rethrow_exception(first_error);
@@ -275,8 +237,8 @@ CameraFleet::runDiscreteEvent(const RunOptions &options)
         auto sp = std::make_unique<StreamingPipeline>(
             cam.pipeline, cam.config, net,
             cameraRuntimeOptions(opts, cam));
-        // No arbiter: the engine owns delivery (sim/SimLink models the
-        // medium; planDelivery/finishDelivery book it per camera).
+        // No SharedLink: the engine owns delivery (sim/SimLink models
+        // the medium; planDelivery/finishDelivery book it per camera).
         const int endpoint =
             engine.addCamera(sp.get(), cam.name, cam.weight);
         sp->setClock(engine.cameraClock(endpoint));

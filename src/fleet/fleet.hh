@@ -5,20 +5,19 @@
  * The runtime counterpart of core/fleet_model.hh: a fleet owns one
  * NetworkLink budget (or a NetworkTrace of them) and runs every
  * camera's StreamingPipeline against it, each uplink stage acquiring
- * its bytes through one shared arbiter instead of a private pacer.
- * Cameras are heterogeneous: FA swarms and VR rigs, different
- * configs, cuts, frame sizes, frame counts and weights, side by side
- * under one resource budget.
+ * its bytes through one SharedLink the cameras share instead of a
+ * link of its own. Cameras are heterogeneous: FA swarms and VR rigs,
+ * different configs, cuts, frame sizes, frame counts and weights,
+ * side by side under one resource budget.
  *
  * Every shape arbitrates through the one link core, sim::SimLink. The
- * wall-clock shapes (ThreadPerCamera, ThreadedStages) reach it through
- * a SharedLink, its mutex-guarded adapter; the discrete-event shape
- * drives it directly on model time (run(RunOptions) lists the shapes).
+ * wall-clock shape (ThreadPerCamera) reaches it through a SharedLink,
+ * its mutex-guarded adapter; the discrete-event shape drives it
+ * directly on model time (run(RunOptions) lists the shapes).
  *
- * A camera that finishes (or fails) simply stops competing: the
- * arbiter is work-conserving, so its goodput share flows to the
- * surviving cameras immediately, and a failing camera drains only its
- * own queues — siblings never stall.
+ * A camera that finishes (or fails) simply stops competing: the link
+ * is work-conserving, so its goodput share flows to the surviving
+ * cameras immediately — siblings never stall.
  */
 
 #ifndef INCAM_FLEET_FLEET_HH
@@ -31,7 +30,6 @@
 
 #include "core/fleet_model.hh"
 #include "core/pipeline.hh"
-#include "fleet/shared_link.hh"
 #include "runtime/runtime.hh"
 
 namespace incam {
@@ -85,7 +83,7 @@ struct FleetOptions
     double trace_fps = 0.0;
     /**
      * Shared fault oracle: every camera is subjected to this plan,
-     * identifying as its fleet index (== arbiter endpoint), so
+     * identifying as its fleet index (== link endpoint), so
      * per-camera crash windows key on that index. The injector must
      * outlive the run. Null = fault-free.
      */
@@ -110,7 +108,7 @@ class CameraFleet
   public:
     CameraFleet(NetworkLink link, FleetOptions options = {});
 
-    /** Add a camera; returns its index (== its arbiter endpoint). */
+    /** Add a camera; returns its index (== its link endpoint). */
     int addCamera(FleetCamera camera);
 
     int cameraCount() const { return static_cast<int>(cams.size()); }
@@ -132,14 +130,14 @@ class CameraFleet
      *  - ThreadPerCamera: one pool thread per camera runs the chain
      *    inline (the historical default; <= ThreadPool::kMaxWorkers
      *    cameras).
-     *  - ThreadedStages: every stage of every camera is its own
-     *    concurrent loop (small rigs; cameras x stages threads).
      *  - DiscreteEvent: every camera is an event source on model time
      *    (sim/SimEngine); one core runs 100k cameras. Requires
      *    time_scale == 1.0 (model time needs no stretching) and no
      *    RunOptions::clock (the engine owns one VirtualClock per
-     *    camera).
-     *  - Inline panics: a fleet's serial shape IS ThreadPerCamera.
+     *    camera). A customize hook must not attach a SharedLink: the
+     *    engine owns delivery.
+     *  - Inline and ThreadedStages panic: they are solo shapes, and a
+     *    fleet's serial shape IS ThreadPerCamera.
      *
      * Wall-clock shapes must not be called from inside a thread-pool
      * worker. Rethrows the first camera error after every stream has
@@ -148,8 +146,7 @@ class CameraFleet
     FleetRunReport run(const RunOptions &options);
 
   private:
-    FleetRunReport runThreaded(const RunOptions &options,
-                               bool threaded_stages);
+    FleetRunReport runThreadPerCamera(const RunOptions &options);
     FleetRunReport runDiscreteEvent(const RunOptions &options);
 
     NetworkLink net;

@@ -2,18 +2,18 @@
  * @file
  * Token-bucket pacing for modeled service rates.
  *
- * The runtime executes *modeled* hardware (an ASIC motion block, a
- * radio link) on a host CPU, so something must make a stage take the
- * time the model says it takes. A TokenBucket accrues credit at the
+ * The runtime executes *modeled* hardware (an ASIC motion block) on a
+ * host CPU, so something must make a stage take the time the model
+ * says it takes. A TokenBucket accrues credit at the
  * modeled rate up to a small burst bound; acquiring more credit than is
  * banked sleeps for the deficit. Credit is allowed to go negative
  * (debt), which is what makes the long-run rate *exact* under sleep
  * jitter: an oversleep banks the surplus (bounded by the burst), an
  * undersleep leaves debt the next acquire pays off, so error never
  * accumulates — the property the measured-vs-model comparison depends
- * on. The same abstraction paces compute stages (rate = 1/service
- * time, whole-frame tokens) and the uplink (rate = link goodput,
- * byte tokens), where the burst models the radio's frame buffer.
+ * on. It paces the source (rate = source FPS) and the compute stages
+ * (rate = 1/service time, whole-frame tokens); the uplink drains
+ * through a SharedLink (runtime/uplink.hh) instead.
  *
  * The bucket reads time from an injected sim::Clock. On the default
  * WallClock it behaves exactly as the historical steady_clock bucket

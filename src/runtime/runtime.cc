@@ -94,6 +94,8 @@ struct StreamingPipeline::RunState
         Energy retry_energy;
     };
 
+    explicit RunState(TokenBucket source) : source_pacer(source) {}
+
     std::vector<std::unique_ptr<FrameQueue>> queues; ///< empty inline
 
     // Pacing state lives in the run, one entry per stage, so the
@@ -103,8 +105,15 @@ struct StreamingPipeline::RunState
     std::vector<TokenBucket> stage_pacers;
     std::vector<int> pacer_epochs;
     std::vector<double> pass_credits;
-    std::unique_ptr<TokenBucket> source_pacer;
-    std::unique_ptr<TokenBucket> link_pacer;
+    TokenBucket source_pacer;
+
+    /** The uplink deliverFrame() transmits through: the attached
+     *  SharedLink or own_link. Null under the discrete-event engine,
+     *  which owns delivery. */
+    SharedLink *link = nullptr;
+    int endpoint = -1;
+    /** A solo run's one-endpoint link. */
+    std::unique_ptr<SharedLink> own_link;
 
     std::vector<StageState> state;
     LinkCounters lc;
@@ -114,7 +123,6 @@ struct StreamingPipeline::RunState
     obs::LogHistogram latency_hist;
     AnnotatedMutex error_mu;
     std::exception_ptr first_error INCAM_GUARDED_BY(error_mu);
-    DataSize typical_bytes;
     double run_start = 0.0; ///< clock seconds
     int64_t next_id = 0;    ///< next source frame (stepwise drive)
     int64_t last_id = -1;   ///< last frame the uplink saw (ordering)
@@ -267,12 +275,12 @@ StreamingPipeline::setContentTrace(const ContentTrace *trace)
 }
 
 void
-StreamingPipeline::attachUplinkArbiter(UplinkArbiter *shared, int endpoint)
+StreamingPipeline::attachSharedLink(SharedLink *link, int endpoint)
 {
-    incam_assert(shared != nullptr && endpoint >= 0,
-                 "an uplink arbiter needs a valid endpoint");
-    arbiter = shared;
-    arbiter_endpoint = endpoint;
+    incam_assert(link != nullptr && endpoint >= 0,
+                 "a shared link needs a valid endpoint");
+    shared_link = link;
+    shared_endpoint = endpoint;
 }
 
 void
@@ -369,18 +377,32 @@ StreamingPipeline::initRun()
 {
     incam_assert(!consumed, "a StreamingPipeline instance is single-use");
     consumed = true;
-    rs = std::make_unique<RunState>();
+    rs = std::make_unique<RunState>(makeSourcePacer());
     rs->state.resize(specs.size() + 2);
-    rs->typical_bytes = PipelineEvaluator(pipe, net).cutBytes(cfg);
-    rs->source_pacer =
-        std::make_unique<TokenBucket>(makeSourcePacer());
+    rs->stage_pacers.reserve(specs.size());
     for (size_t b = 0; b < specs.size(); ++b) {
         rs->stage_pacers.push_back(makeStagePacer(b));
     }
     rs->pacer_epochs.assign(specs.size(), 0);
     rs->pass_credits.assign(specs.size(), 0.0);
-    rs->link_pacer = std::make_unique<TokenBucket>(makeLinkPacer());
     rs->run_start = clk->now();
+}
+
+void
+StreamingPipeline::openLink()
+{
+    if (shared_link != nullptr) {
+        rs->link = shared_link;
+        rs->endpoint = shared_endpoint;
+        return;
+    }
+    SharedLink::Options lo;
+    lo.time_scale = opts.time_scale;
+    lo.pace = opts.pace_link;
+    lo.clock = clk;
+    rs->own_link = std::make_unique<SharedLink>(net, lo);
+    rs->link = rs->own_link.get();
+    rs->endpoint = rs->own_link->addEndpoint(pipe.name());
 }
 
 void
@@ -391,8 +413,8 @@ StreamingPipeline::beginRun()
                  "host threads (use Inline or DiscreteEvent on a "
                  "VirtualClock)");
     initRun();
-    const size_t n_stages = specs.size() + 2;
-    for (size_t i = 0; i + 1 < n_stages; ++i) {
+    openLink();
+    for (int i = 0; i + 1 < stageCount(); ++i) {
         rs->queues.push_back(
             std::make_unique<FrameQueue>(opts.queue_capacity));
     }
@@ -401,6 +423,9 @@ StreamingPipeline::beginRun()
 void
 StreamingPipeline::beginEventRun()
 {
+    incam_assert(shared_link == nullptr,
+                 "the discrete-event engine owns delivery: a pipeline it "
+                 "drives must not have a SharedLink attached");
     initRun(); // no queues: frames step through the chain one by one
 }
 
@@ -730,14 +755,8 @@ StreamingPipeline::deliverFrame(Frame &f)
         for (;;) {
             ++out.attempts;
             obsTxAttempt(f, out.attempts);
-            Energy attempt_e;
-            if (arbiter) {
-                attempt_e = arbiter->acquire(arbiter_endpoint,
-                                             f.bytes.b(), f.trace_time);
-            } else {
-                rs->link_pacer->acquire(f.bytes.b());
-                attempt_e = net.transferEnergy(f.bytes);
-            }
+            const Energy attempt_e =
+                rs->link->acquire(rs->endpoint, f.bytes.b(), f.trace_time);
             out.energy += attempt_e;
             obsTxGrant(f, out.attempts, attempt_e);
             if (out.attempts > 1) {
@@ -779,26 +798,13 @@ StreamingPipeline::makeStagePacer(size_t b) const
                        opts.stage_burst_frames, clk);
 }
 
-TokenBucket
-StreamingPipeline::makeLinkPacer() const
-{
-    // With an arbiter attached the shared link paces (or counts) every
-    // transmission; the private bucket exists only for solo runs.
-    return TokenBucket(!arbiter && opts.pace_link
-                           ? net.goodput().bytesPerSecond() /
-                                 opts.time_scale
-                           : 0.0,
-                       opts.link_burst_frames * rs->typical_bytes.b(),
-                       clk);
-}
-
 void
 StreamingPipeline::sourceLoop()
 {
     RunState::StageState &st = rs->state[0];
     FrameQueue &out = *rs->queues[0];
     for (int64_t id = 0; id < opts.frames && !pastDeadline(); ++id) {
-        Frame f = makeSourceFrame(id, *rs->source_pacer);
+        Frame f = makeSourceFrame(id, rs->source_pacer);
         if (injector != nullptr &&
             injector->cameraDown(fault_camera, f.trace_time)) {
             // Crash window: the camera is down, the frame never
@@ -923,16 +929,14 @@ StreamingPipeline::uplinkLoop()
         deliverFrame(f);
     }
     in.close();
-    if (arbiter) {
-        arbiter->release(arbiter_endpoint);
-    }
+    rs->link->release(rs->endpoint);
 }
 
 void
 StreamingPipeline::runStage(int stage)
 {
     incam_assert(rs != nullptr, "beginRun() must precede runStage()");
-    const size_t n_stages = specs.size() + 2;
+    const size_t n_stages = static_cast<size_t>(stageCount());
     incam_assert(stage >= 0 && static_cast<size_t>(stage) < n_stages,
                  "stage ", stage, " out of range");
     // One stage throwing must not strand its neighbours on a queue:
@@ -960,10 +964,10 @@ StreamingPipeline::runStage(int stage)
         if (s < rs->queues.size()) {
             rs->queues[s]->close();
         }
-        // An uplink that died while holding an arbiter registration
-        // must still release it, or siblings inherit a ghost endpoint.
-        if (arbiter && s + 1 == n_stages) {
-            arbiter->release(arbiter_endpoint);
+        // An uplink that died while holding a link registration must
+        // still release it, or siblings inherit a ghost endpoint.
+        if (s + 1 == n_stages) {
+            rs->link->release(rs->endpoint);
         }
     }
 }
@@ -978,7 +982,7 @@ StreamingPipeline::runThreaded()
                  "execution)");
     // Every stage loop must run concurrently or the chain deadlocks on
     // a full queue, so the pool's participant cap bounds the chain.
-    const size_t n_stages = specs.size() + 2;
+    const size_t n_stages = static_cast<size_t>(stageCount());
     incam_assert(n_stages <=
                      static_cast<size_t>(ThreadPool::kMaxWorkers) + 1,
                  "pipeline needs ", n_stages,
@@ -1003,7 +1007,7 @@ StreamingPipeline::nextFrame(Frame &f)
         return SourceStep::Done;
     }
     const int64_t id = rs->next_id++;
-    f = makeSourceFrame(id, *rs->source_pacer);
+    f = makeSourceFrame(id, rs->source_pacer);
     if (injector != nullptr &&
         injector->cameraDown(fault_camera, f.trace_time)) {
         ++rs->state[0].dropped; // crash window: see sourceLoop
@@ -1091,7 +1095,8 @@ StreamingPipeline::run()
 RuntimeReport
 StreamingPipeline::runInline()
 {
-    beginEventRun(); // no queues: the chain runs as one serial loop
+    initRun(); // no queues: the chain runs as one serial loop
+    openLink();
 
     // One loop drives each frame through the whole chain, reusing the
     // per-frame stage bodies of the threaded shape. The buckets all
@@ -1117,14 +1122,10 @@ StreamingPipeline::runInline()
     } catch (...) {
         // A dead camera must not leave a ghost endpoint competing for
         // the shared link its siblings are still using.
-        if (arbiter) {
-            arbiter->release(arbiter_endpoint);
-        }
+        rs->link->release(rs->endpoint);
         throw;
     }
-    if (arbiter) {
-        arbiter->release(arbiter_endpoint);
-    }
+    rs->link->release(rs->endpoint);
     return finishRun();
 }
 

@@ -27,8 +27,9 @@
  * modeled service rate (1 / ImplCost.time), so the executing pipeline
  * exhibits the model's claimed steady-state behaviour: frames pipeline
  * across stages and the slowest stage dominates. The uplink stage
- * paces at the link's goodput in byte tokens and charges the link's
- * per-bit energy for every byte that crosses the cut. Filter blocks
+ * transmits through a SharedLink (runtime/uplink.hh) — a fleet's, or
+ * the run's own one-endpoint link — which paces at the link's goodput
+ * and prices every byte that crosses the cut. Filter blocks
  * gate downstream traffic either deterministically (a Bresenham-style
  * accumulator reproducing the block's declared pass fraction *exactly*
  * — or, with a ContentTrace attached, the trace's time-varying pass
@@ -158,15 +159,13 @@ struct RuntimeOptions
      * Pace the uplink stage at the link's modeled goodput. Turning it
      * off (with pace_stages) makes a run pure counting — energy and
      * gating tests finish in milliseconds regardless of how slow the
-     * modeled radio is.
+     * modeled radio is. A paced run on a link with zero or NaN goodput
+     * panics at run start.
      */
     bool pace_link = true;
 
     /** Token-bucket burst, in frames, for compute-stage pacers. */
     double stage_burst_frames = 2.0;
-
-    /** Token-bucket burst, in frames' worth of bytes, for the uplink. */
-    double link_burst_frames = 2.0;
 
     /** Source emission rate in model FPS; 0 saturates the pipeline. */
     double source_fps = 0.0;
@@ -207,9 +206,10 @@ struct RuntimeOptions
 enum class ExecutionMode
 {
     /**
-     * One host thread per pipeline stage, bounded SPSC queues between
-     * them (the original run() shape). Real concurrency: frames
-     * pipeline across stages. Requires a wall clock.
+     * Solo-only: one host thread per pipeline stage, bounded SPSC
+     * queues between them (the original run() shape). Real
+     * concurrency: frames pipeline across stages. Requires a wall
+     * clock.
      */
     ThreadedStages,
 
@@ -354,12 +354,12 @@ class StreamingPipeline
     void setContentTrace(const ContentTrace *trace);
 
     /**
-     * Route the uplink stage through a shared arbiter (a fleet's or a
-     * trace's SharedLink) as @p endpoint instead of the private
-     * goodput pacer. The arbiter must outlive the run;
-     * pace_link is then the arbiter's concern, not this pipeline's.
+     * Transmit through @p link (a fleet's, or a trace-driven one) as
+     * @p endpoint instead of the run's own one-endpoint SharedLink.
+     * The link must outlive the run; whether transmissions wait is
+     * then its own pace option, not pace_link.
      */
-    void attachUplinkArbiter(UplinkArbiter *arbiter, int endpoint);
+    void attachSharedLink(SharedLink *link, int endpoint);
 
     /**
      * Subject this run to @p injector's fault plan, identifying as
@@ -467,19 +467,6 @@ class StreamingPipeline
      */
     RuntimeReport runInline();
 
-    // ------- fleet composition: externally scheduled stage loops -----
-    // A fleet that wants *queued* stages for several pipelines inside
-    // one fork-join job drives the phases itself: beginRun(), then
-    // every stage index in [0, stageCount()) must execute runStage()
-    // concurrently (they block on each other's queues), then
-    // finishRun() assembles the report and rethrows the first error.
-
-    /** Concurrent stage loops run() needs: source + blocks + uplink. */
-    int stageCount() const { return static_cast<int>(specs.size()) + 2; }
-    void beginRun();
-    void runStage(int stage);
-    RuntimeReport finishRun();
-
     // ------- event composition: externally scheduled frame steps -----
     // The discrete-event engine (sim/SimEngine) drives many pipelines
     // from one event loop, so it needs the inline loop's per-frame
@@ -524,8 +511,11 @@ class StreamingPipeline
         double backoff_seconds = 0.0; ///< model-time waits accrued
     };
 
-    /** beginRun() minus the stage threads: arm the run state so
-     *  nextFrame() can be called. */
+    /**
+     * Arm the run state for the discrete-event engine so nextFrame()
+     * can be called: no queues and no link, since the engine owns
+     * delivery. Panics if a SharedLink is attached.
+     */
     void beginEventRun();
 
     /**
@@ -557,6 +547,10 @@ class StreamingPipeline
      *  clock position). */
     int64_t nextSourceId() const;
 
+    /** Assemble the report of a finished run and rethrow its first
+     *  error. */
+    RuntimeReport finishRun();
+
   private:
     struct RunState; // stage queues + measurement state of one run
 
@@ -582,9 +576,21 @@ class StreamingPipeline
         bool local = false;
     };
 
+    /** Arm the run state every shape shares: pacers, counters and the
+     *  start time. */
     void initRun();
+    /** Point the run at its uplink: the attached SharedLink, else a
+     *  one-endpoint link of its own. */
+    void openLink();
     /** The ThreadedStages body (the original run()). */
     RuntimeReport runThreaded();
+    // The threaded shape's phases: beginRun(), then every stage index
+    // in [0, stageCount()) executes runStage() concurrently (they
+    // block on each other's queues), then finishRun().
+    /** Concurrent stage loops run() needs: source + blocks + uplink. */
+    int stageCount() const { return static_cast<int>(specs.size()) + 2; }
+    void beginRun();
+    void runStage(int stage);
     void sourceLoop();
     void blockLoop(size_t b);
     void uplinkLoop();
@@ -597,7 +603,6 @@ class StreamingPipeline
      *  exist exactly once. */
     TokenBucket makeSourcePacer() const;
     TokenBucket makeStagePacer(size_t b) const;
-    TokenBucket makeLinkPacer() const;
     /** Per-frame body of block stage @p b (shared by the threaded and
      *  inline shapes): epoch plan lookup, accounting, executor,
      *  pacing, gating. Returns false when the frame was gated away
@@ -605,8 +610,8 @@ class StreamingPipeline
      *  rate the stage pacer currently runs at. */
     bool processBlockFrame(size_t b, Frame &frame, TokenBucket &pacer,
                            int &pacer_epoch, double &pass_credit);
-    /** Per-frame uplink body: planDelivery + the clock-paced retry
-     *  loop (arbiter or the run's link pacer) + finishDelivery. */
+    /** Per-frame uplink body: planDelivery + the retry loop through
+     *  the run's SharedLink + finishDelivery. */
     void deliverFrame(Frame &frame);
     /** Resolve a validated config into per-block plans. */
     Epoch makeEpoch(const PipelineConfig &config) const;
@@ -630,8 +635,8 @@ class StreamingPipeline
     std::function<void(Frame &)> fill_fn;
     std::function<void(int64_t)> tick_fn;
     const ContentTrace *content = nullptr; ///< non-owning
-    UplinkArbiter *arbiter = nullptr; ///< non-owning; see attach docs
-    int arbiter_endpoint = -1;
+    SharedLink *shared_link = nullptr; ///< non-owning; see attach docs
+    int shared_endpoint = -1;
     const FaultInjector *injector = nullptr; ///< non-owning
     int fault_camera = 0; ///< this run's identity to the injector
     sim::Clock *clk; ///< non-owning; ctor defaults to WallClock::shared()

@@ -1,4 +1,4 @@
-#include "fleet/shared_link.hh"
+#include "runtime/uplink.hh"
 
 #include <algorithm>
 #include <chrono>

@@ -2,14 +2,14 @@
  * @file
  * SimEngine — many pipelines, one event loop, model time.
  *
- * The threaded fleet runtime spends a host thread (or a stage's worth
- * of threads) per camera and lets the kernel's scheduler interleave
- * them in wall time. SimEngine replaces the kernel: every camera is an
- * event source on its own VirtualClock, the binary-heap EventScheduler
- * totally orders {source cycles, transmission starts, retry backoffs,
- * link departures} on (time, camera, kind, seq), and one host core
- * replays the whole gateway in model time — 100k cameras are 100k
- * clock cursors, not 100k blocked threads.
+ * The threaded fleet runtime spends a host thread per camera and lets
+ * the kernel's scheduler interleave them in wall time. SimEngine
+ * replaces the kernel: every camera is an event source on its own
+ * VirtualClock, the binary-heap EventScheduler totally orders {source
+ * cycles, transmission starts, retry backoffs, link departures} on
+ * (time, camera, kind, seq), and one host core replays the whole
+ * gateway in model time — 100k cameras are 100k clock cursors, not
+ * 100k blocked threads.
  *
  * The engine does not reimplement the pipeline. It drives the exact
  * per-frame steps StreamingPipeline exposes for event composition —
@@ -21,7 +21,7 @@
  * VirtualClock; only the shared medium needs engine-side modeling,
  * which sim/SimLink provides as virtual-time weighted fair sharing.
  *
- * Two delivery regimes, mirroring the threaded arbiters:
+ * Two delivery regimes, mirroring SharedLink's:
  *
  *  - *Counting* (pace_link = false): a frame's whole retry schedule
  *    resolves synchronously at its emission instant — price, grant,
@@ -86,7 +86,8 @@ class SimEngine
 
     /**
      * Register a camera. The pipeline must outlive the engine, must
-     * not have an UplinkArbiter attached (the engine owns delivery),
+     * not have a SharedLink attached (the engine owns delivery, and
+     * StreamingPipeline::beginEventRun() panics on an attached link),
      * and must be put on this camera's clock — setClock(cameraClock())
      * — before run(). Returns the camera index (== link endpoint).
      */

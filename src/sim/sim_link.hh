@@ -7,8 +7,8 @@
  * fair sharing (generalized processor sharing) and models it as data:
  * given the set of in-flight transmissions, when does the next one
  * finish? The discrete-event engine drives it on model time, and
- * fleet/SharedLink holds one under a mutex so camera threads can
- * arbitrate through it on a wall or virtual clock.
+ * SharedLink (runtime/uplink.hh) holds one under a mutex so camera
+ * threads can arbitrate through it on a wall or virtual clock.
  *
  * SimLink answers with GPS virtual time. A tier's virtual clock v
  * advances at capacity / (total active weight), so every in-flight

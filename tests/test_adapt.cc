@@ -24,8 +24,8 @@
 #include "core/network.hh"
 #include "fault/fault.hh"
 #include "fleet/fleet.hh"
-#include "fleet/shared_link.hh"
 #include "runtime/runtime.hh"
+#include "runtime/uplink.hh"
 #include "trace/trace.hh"
 
 namespace incam {

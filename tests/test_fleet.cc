@@ -20,7 +20,7 @@
 #include "core/fleet_model.hh"
 #include "fa/scenario.hh"
 #include "fleet/fleet.hh"
-#include "fleet/shared_link.hh"
+#include "runtime/uplink.hh"
 #include "sim/clock.hh"
 #include "vr/scenario.hh"
 
@@ -411,17 +411,15 @@ TEST(Fleet, MeasuredFpsTracksFleetModel)
 
 TEST(Fleet, ClosingOneCameraFreesItsShareWithoutStallingSiblings)
 {
-    // Threaded-stage shape: per-stage queues, real drain semantics.
-    // Camera A emits 25 frames and closes; camera B keeps going. A's
-    // queues must drain exactly, and B must speed up once A's weight
-    // leaves the arbiter: B's overall rate lands well above the
-    // contended half-share and at most at the solo rate.
+    // Camera A emits 25 frames and closes; camera B keeps going. Every
+    // frame of both must cross, and B must speed up once A's weight
+    // leaves the link: B's overall rate lands well above the contended
+    // half-share and at most at the solo rate.
     const Pipeline fa = buildFaPipeline(nominalFaMeasurements());
     const NetworkLink link = wifiUplink(); // 281.25 FPS at raw frames
 
     FleetOptions opts;
     opts.gating = GatingMode::None;
-    opts.queue_capacity = 4;
     CameraFleet fleet(link, opts);
 
     FleetCamera a("short-lived", fa,
@@ -434,9 +432,7 @@ TEST(Fleet, ClosingOneCameraFreesItsShareWithoutStallingSiblings)
     b.frames = 160;
     fleet.addCamera(std::move(b));
 
-    RunOptions stages;
-    stages.mode = ExecutionMode::ThreadedStages;
-    const FleetRunReport rep = fleet.run(stages);
+    const FleetRunReport rep = fleet.run(perCamera());
     const FleetCameraReport &ra = rep.cameras[0];
     const FleetCameraReport &rb = rep.cameras[1];
 
@@ -445,8 +441,6 @@ TEST(Fleet, ClosingOneCameraFreesItsShareWithoutStallingSiblings)
     EXPECT_EQ(ra.runtime.delivered_frames, 25);
     EXPECT_EQ(rb.runtime.source_frames, 160);
     EXPECT_EQ(rb.runtime.delivered_frames, 160);
-    EXPECT_LE(ra.runtime.link.peak_queue_depth, 4);
-    EXPECT_LE(rb.runtime.link.peak_queue_depth, 4);
     EXPECT_TRUE(ra.link.released);
     EXPECT_TRUE(rb.link.released);
 
@@ -494,6 +488,26 @@ TEST(Fleet, InstancesAreSingleUse)
     fleet.addCamera(std::move(cam));
     (void)fleet.run(perCamera());
     EXPECT_DEATH((void)fleet.run(perCamera()), "single-use");
+}
+
+TEST(Fleet, SoloShapesPanic)
+{
+    // Inline and ThreadedStages are solo-pipeline shapes: a fleet runs
+    // one inline loop per camera (ThreadPerCamera) or DiscreteEvent.
+    const Pipeline p = reducerPipeline();
+    for (const ExecutionMode mode :
+         {ExecutionMode::Inline, ExecutionMode::ThreadedStages}) {
+        FleetOptions opts;
+        opts.pace_stages = false;
+        opts.pace_link = false;
+        CameraFleet fleet(testLink(1e6), opts);
+        FleetCamera cam("solo", p, PipelineConfig::full(p, Impl::Asic, 1));
+        cam.frames = 4;
+        fleet.addCamera(std::move(cam));
+        RunOptions ro;
+        ro.mode = mode;
+        EXPECT_DEATH((void)fleet.run(ro), "solo-pipeline only");
+    }
 }
 
 // ---------------------------------------------------------------------

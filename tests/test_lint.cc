@@ -6,7 +6,7 @@
  * The linter enforces boundaries no compiler checks (wall time only
  * in sim/clock.*, randomness only in common/rng.hh, locks only
  * through the annotated wrappers, LossLedger roll-up writes paired,
- * the UplinkArbiter contract adjacent to its declarations), so this
+ * the SharedLink contract adjacent to its declarations), so this
  * suite proves two things about it:
  *
  *  1. *Sensitivity*: each rule actually fires on a minimal bad
@@ -258,14 +258,21 @@ TEST(Lint, ArbiterContractRuleFiresOnBareDeclarations)
 {
     SKIP_WITHOUT_PYTHON();
     // A file named uplink.hh with no contract section and an
-    // undocumented acquire(): both findings must appear.
+    // undocumented acquire(): both findings must appear. Calls to
+    // acquire()/release() are not declarations and need no comment.
     const std::string f = writeFixture("uplink.hh",
-        "struct Arbiter {\n"
-        "    virtual ~Arbiter() = default;\n"
-        "    virtual double acquire(int endpoint, double bytes) = 0;\n"
+        "class SharedLink {\n"
+        "  public:\n"
+        "    double acquire(int endpoint, double bytes);\n"
         "\n"
         "    /** Documented, adjacent. */\n"
-        "    virtual void release(int endpoint) = 0;\n"
+        "    void release(int endpoint);\n"
+        "\n"
+        "    double cycle()\n"
+        "    {\n"
+        "        release(0);\n"
+        "        return acquire(0, 1.0);\n"
+        "    }\n"
         "};\n");
     std::string out;
     EXPECT_EQ(runLinter(f, &out), 1) << out;
@@ -273,10 +280,13 @@ TEST(Lint, ArbiterContractRuleFiresOnBareDeclarations)
     EXPECT_NE(out.find("acquire() declaration has no adjacent"),
               std::string::npos)
         << out;
-    // release() is documented; it must NOT be reported.
+    // release() is documented and the calls are not declarations;
+    // neither may be reported.
     EXPECT_EQ(out.find("release() declaration has no adjacent"),
               std::string::npos)
         << out;
+    EXPECT_EQ(out.find("uplink.hh:10:"), std::string::npos) << out;
+    EXPECT_EQ(out.find("uplink.hh:11:"), std::string::npos) << out;
     EXPECT_NE(out.find("missing the audited contract statement"),
               std::string::npos)
         << out;

@@ -533,6 +533,55 @@ TEST(Runtime, ZeroByteCutStreamsWithoutPacingOrRadioCost)
     EXPECT_DOUBLE_EQ(rep.comm_energy.j(), 0.0);
 }
 
+/** A radio link of @p bytes_per_sec goodput at 1 nJ/bit. */
+NetworkLink
+radioLink(double bytes_per_sec)
+{
+    NetworkLink l;
+    l.name = "radio";
+    l.bandwidth = Bandwidth::bytesPerSec(bytes_per_sec);
+    l.energy_per_bit = Energy::nanojoules(1.0);
+    return l;
+}
+
+TEST(Runtime, PacedRunOnZeroOrNanGoodputPanics)
+{
+    // A paced uplink with no goodput could never drain a byte: the
+    // run's SharedLink refuses it at run start rather than letting
+    // frames cross in zero time. NaN fails the same check.
+    const Pipeline pipe = filterPipeline();
+    RuntimeOptions opts;
+    opts.frames = 50;
+    opts.pace_stages = false;
+    for (const double bps :
+         {0.0, std::numeric_limits<double>::quiet_NaN()}) {
+        StreamingPipeline sp(pipe, PipelineConfig::full(pipe),
+                             radioLink(bps), opts);
+        EXPECT_DEATH((void)sp.runInline(),
+                     "a paced shared link needs positive goodput")
+            << bps;
+    }
+}
+
+TEST(Runtime, CountingRunOnZeroGoodputBooksEnergyPerBit)
+{
+    // Counting never waits on the link, so a zero-goodput link still
+    // completes, and every byte is priced at the link's per-bit cost.
+    // Cut 0 streams the 1 kB raw frames.
+    const Pipeline pipe = filterPipeline();
+    RuntimeOptions opts;
+    opts.frames = 50;
+    opts.pace_stages = false;
+    opts.pace_link = false;
+    StreamingPipeline sp(pipe, PipelineConfig::full(pipe, Impl::Asic, 0),
+                         radioLink(0.0), opts);
+    const RuntimeReport rep = sp.runInline();
+    EXPECT_EQ(rep.delivered_frames, 50);
+    EXPECT_DOUBLE_EQ(rep.link.bytes_sent.b(), 50.0 * 1000.0);
+    // 50 frames x 1000 B x 8 bit x 1 nJ/bit.
+    EXPECT_NEAR(rep.comm_energy.j(), 4e-4, 1e-15);
+}
+
 TEST(Runtime, InlineRunMatchesThreadedCounts)
 {
     // The serial one-thread execution a CameraFleet uses per camera

@@ -27,9 +27,9 @@
 #include "fa/scenario.hh"
 #include "fault/fault.hh"
 #include "fleet/fleet.hh"
-#include "fleet/shared_link.hh"
 #include "runtime/pacer.hh"
 #include "runtime/runtime.hh"
+#include "runtime/uplink.hh"
 #include "sim/clock.hh"
 #include "sim/engine.hh"
 #include "sim/scheduler.hh"
@@ -353,7 +353,7 @@ TEST(Sim, SoloTracePacedRunExecutesOnModelTime)
     SharedLink link(trace.at(Time{}), lopts);
     StreamingPipeline sp(pipe, PipelineConfig::full(pipe, Impl::Asic, 0),
                          trace.at(Time{}), opts);
-    sp.attachUplinkArbiter(&link, link.addEndpoint("cam"));
+    sp.attachSharedLink(&link, link.addEndpoint("cam"));
     RunOptions ro;
     ro.mode = ExecutionMode::Inline;
     ro.clock = &clk;
@@ -365,6 +365,43 @@ TEST(Sim, SoloTracePacedRunExecutesOnModelTime)
     EXPECT_NEAR(rep.model_fps, 50.0, 1.0);
     EXPECT_GT(clk.now(), 3.9);
     EXPECT_LT(clk.now(), 4.1);
+
+    // The same stream on a stationary 50 kB/s link with no link
+    // attached: the run's own SharedLink paces it on model time, at
+    // exactly the link's rate and per-bit price.
+    sim::VirtualClock solo_clk;
+    StreamingPipeline solo(pipe, PipelineConfig::full(pipe, Impl::Asic, 0),
+                           radioLink("a", 50e3, 1.0), opts);
+    ro.clock = &solo_clk;
+    const RuntimeReport solo_rep = solo.run(ro);
+    EXPECT_EQ(solo_rep.delivered_frames, 200);
+    EXPECT_NEAR(solo_rep.model_fps, 50.0, 1e-9);
+    EXPECT_NEAR(solo_clk.now(), 4.0, 1e-9);
+    // 200 frames x 1000 B x 8 bit x 1 nJ/bit.
+    EXPECT_NEAR(solo_rep.comm_energy.j(), 1.6e-3, 1e-15);
+}
+
+TEST(Sim, EngineRefusesAPipelineWithASharedLink)
+{
+    // The engine owns delivery: a SharedLink a customize hook attaches
+    // would never carry a byte, and its endpoint would never be
+    // released. beginEventRun() refuses it.
+    const Pipeline pipe = offloadablePipeline();
+    const NetworkLink net = radioLink("l", 50e3, 1.0);
+    SharedLink stray(net, SharedLink::Options{});
+    FleetOptions fo;
+    fo.pace_stages = false;
+    fo.pace_link = false;
+    CameraFleet fleet(net, fo);
+    FleetCamera cam("cam", pipe, PipelineConfig::full(pipe, Impl::Asic, 0));
+    cam.frames = 4;
+    cam.customize = [&stray](StreamingPipeline &sp) {
+        sp.attachSharedLink(&stray, stray.addEndpoint("stray"));
+    };
+    fleet.addCamera(std::move(cam));
+    RunOptions ro;
+    ro.mode = ExecutionMode::DiscreteEvent;
+    EXPECT_DEATH((void)fleet.run(ro), "must not have a SharedLink attached");
 }
 
 // ---------------------------------------------------------------------

@@ -14,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/network.hh"
-#include "fleet/shared_link.hh"
+#include "runtime/uplink.hh"
 #include "trace/trace.hh"
 #include "workload/video.hh"
 

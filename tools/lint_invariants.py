@@ -27,10 +27,10 @@ The codebase keeps several invariants that no compiler checks:
                     mutation site updates the trio together.
 
   arbiter-contract  Files named uplink.hh must state the audited
-                    "UplinkArbiter contract" and keep a documentation
-                    comment immediately adjacent to every virtual
-                    acquire()/release() declaration, so the contract
-                    cannot drift away from the interface it governs.
+                    "SharedLink contract" and keep a documentation
+                    comment immediately adjacent to every acquire()/
+                    release() declaration, so the contract cannot drift
+                    away from the interface it governs.
 
   obs-clock         The observability layer (src/obs/) never reads time
                     itself: every event timestamp is an *argument*,
@@ -272,8 +272,12 @@ def lint_ledger(path, code_lines, sup, findings):
             % (", ".join(sorted(writes)), ", ".join(missing))))
 
 
-CONTRACT_PHRASE = "The UplinkArbiter contract"
-VIRTUAL_DECL = re.compile(r"\bvirtual\b.*\b(acquire|release)\s*\(")
+CONTRACT_PHRASE = "The SharedLink contract"
+# A declaration starts its line with a return type (optionally after
+# `virtual`), so calls such as `core.release(` or `link->acquire(` and
+# `return release(` never match.
+METHOD_DECL = re.compile(
+    r"^\s*(?:virtual\s+)?(?!return\b)[\w:<>]+[\s*&]+(acquire|release)\s*\(")
 
 
 def lint_arbiter(path, raw_lines, code_lines, sup, findings):
@@ -289,8 +293,8 @@ def lint_arbiter(path, raw_lines, code_lines, sup, findings):
         lineno = idx + 1
         if "arbiter-contract" in sup.get(lineno, ()):
             continue
-        m = VIRTUAL_DECL.search(line)
-        if not m or "~" in line:  # skip the virtual destructor
+        m = METHOD_DECL.search(line)
+        if not m:
             continue
         # The nearest non-blank RAW line above must close or continue a
         # comment: the contract doc must sit adjacent to the decl.
@@ -305,8 +309,8 @@ def lint_arbiter(path, raw_lines, code_lines, sup, findings):
         if not ok:
             findings.append(Finding(
                 path, lineno, "arbiter-contract",
-                "virtual %s() declaration has no adjacent contract "
-                "comment" % m.group(1)))
+                "%s() declaration has no adjacent contract comment"
+                % m.group(1)))
 
 
 def lint_file(path, findings):
