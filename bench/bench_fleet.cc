@@ -293,7 +293,6 @@ measureDesPoint(int n, const Pipeline &fa_large,
     FleetOptions paced;
     paced.policy = SharePolicy::Fair;
     paced.gating = GatingMode::None;
-    paced.queue_capacity = 4;
     paced.epoch_capacity = 4; // never reconfigures; keep 100k light
     CameraFleet fleet(link, paced);
     for (size_t i = 0; i < specs.size(); ++i) {
@@ -325,7 +324,6 @@ measureDesPoint(int n, const Pipeline &fa_large,
     counting.pace_stages = false;
     counting.pace_link = false;
     counting.trace_fps = 30.0;
-    counting.queue_capacity = 4;
     counting.epoch_capacity = 4;
     CameraFleet counting_fleet(link, counting);
     double expected_bytes = 0.0;

@@ -57,7 +57,6 @@ cameraRuntimeOptions(const FleetOptions &opts, const FleetCamera &cam)
 {
     RuntimeOptions ro;
     ro.frames = cam.frames;
-    ro.queue_capacity = opts.queue_capacity;
     ro.gating = opts.gating;
     ro.time_scale = opts.time_scale;
     ro.pace_stages = opts.pace_stages;
@@ -69,6 +68,29 @@ cameraRuntimeOptions(const FleetOptions &opts, const FleetCamera &cam)
     ro.stage_policy = opts.stage_policy;
     ro.epoch_capacity = opts.epoch_capacity;
     return ro;
+}
+
+/** The per-camera wiring both fleet shapes share, done after each
+ *  shape has put the camera on its link and clock: the shared fault
+ *  oracle and observability, both keyed by the camera's fleet index
+ *  (its link endpoint, the exporter pid), then its customize hook. */
+void
+setUpCamera(StreamingPipeline &sp, const FleetOptions &opts,
+            const RunOptions &options, const FleetCamera &cam,
+            int endpoint)
+{
+    if (opts.faults != nullptr) {
+        // Crash windows and hash streams are per camera while the plan
+        // itself is shared.
+        sp.setFaultInjector(opts.faults, endpoint);
+    }
+    if (options.obs.active()) {
+        // Metric series are labelled by camera name.
+        sp.setObs(options.obs, endpoint, cam.name);
+    }
+    if (cam.customize) {
+        cam.customize(sp);
+    }
 }
 
 /** Fold per-camera reports and link shares into the fleet report. */
@@ -158,20 +180,7 @@ CameraFleet::runThreadPerCamera(const RunOptions &options)
             cameraRuntimeOptions(opts, cam));
         const int endpoint = shared.addEndpoint(cam.name, cam.weight);
         sp->attachSharedLink(&shared, endpoint);
-        if (opts.faults != nullptr) {
-            // The camera identifies to the shared fault oracle as its
-            // fleet index, so crash windows and hash streams are per
-            // camera while the plan itself is shared.
-            sp->setFaultInjector(opts.faults, endpoint);
-        }
-        if (options.obs.active()) {
-            // Events and metric series identify by fleet index (the
-            // exporter pid) and camera name (the series label).
-            sp->setObs(options.obs, endpoint, cam.name);
-        }
-        if (cam.customize) {
-            cam.customize(*sp);
-        }
+        setUpCamera(*sp, opts, options, cam, endpoint);
         pipes.push_back(std::move(sp));
     }
     shared.start(); // trace time zero = run start, not first frame
@@ -193,14 +202,16 @@ CameraFleet::runThreadPerCamera(const RunOptions &options)
     // sim/clock — the boundary a future injected-clock fleet relies on.
     sim::Clock &run_clock = sim::WallClock::shared();
     const double t0 = run_clock.now();
-    // One serial camera loop per pool chunk; all run concurrently.
+    // One Inline camera run per pool chunk; all run concurrently.
     incam_assert(n <= static_cast<size_t>(ThreadPool::kMaxWorkers) + 1,
                  "fleet has ", n, " cameras but the thread pool caps at ",
                  ThreadPool::kMaxWorkers + 1, " concurrent participants");
+    RunOptions inline_run;
+    inline_run.mode = ExecutionMode::Inline;
     ThreadPool::global().run(
         static_cast<uint64_t>(n), static_cast<int>(n), [&](uint64_t c) {
             try {
-                reports[c] = pipes[c]->runInline();
+                reports[c] = pipes[c]->run(inline_run);
             } catch (...) {
                 record(std::current_exception());
             }
@@ -237,20 +248,12 @@ CameraFleet::runDiscreteEvent(const RunOptions &options)
         auto sp = std::make_unique<StreamingPipeline>(
             cam.pipeline, cam.config, net,
             cameraRuntimeOptions(opts, cam));
-        // No SharedLink: the engine owns delivery (sim/SimLink models
-        // the medium; planDelivery/finishDelivery book it per camera).
+        // No SharedLink: the engine grants every attempt through its
+        // sim::SimLink and drives the camera's own delivery steps.
         const int endpoint =
             engine.addCamera(sp.get(), cam.name, cam.weight);
         sp->setClock(engine.cameraClock(endpoint));
-        if (opts.faults != nullptr) {
-            sp->setFaultInjector(opts.faults, endpoint);
-        }
-        if (options.obs.active()) {
-            sp->setObs(options.obs, endpoint, cam.name);
-        }
-        if (cam.customize) {
-            cam.customize(*sp);
-        }
+        setUpCamera(*sp, opts, options, cam, endpoint);
         pipes.push_back(std::move(sp));
     }
 

@@ -70,6 +70,9 @@ struct FleetOptions
     double time_scale = 1.0;
     bool pace_stages = true;
     bool pace_link = true;
+    /** Read by no fleet shape: every fleet camera runs its chain
+     *  without queues. The field stays only because
+     *  perfbench/src/fleets.cc sets it. */
     int queue_capacity = 8;
     double stage_burst_frames = 2.0;
     /**

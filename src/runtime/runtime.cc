@@ -331,57 +331,20 @@ StreamingPipeline::obsT(const Frame &f, double clock_t) const
 }
 
 void
-StreamingPipeline::obsTxAttempt(const Frame &f, int attempt)
-{
-    if (ob.recorder == nullptr) {
-        return;
-    }
-    obsRecord(obs::EventKind::TxAttempt, f.id, obsT(f, clk->now()),
-              0.0, obs::kTidUplink, txSeq(attempt, 0), attempt, 0,
-              f.bytes.b());
-}
-
-void
-StreamingPipeline::obsTxGrant(const Frame &f, int attempt, Energy e)
-{
-    if (ob.recorder == nullptr) {
-        return;
-    }
-    obsRecord(obs::EventKind::TxGrant, f.id, obsT(f, clk->now()), 0.0,
-              obs::kTidUplink, txSeq(attempt, 1), attempt, 0, e.j());
-}
-
-void
-StreamingPipeline::obsTxLoss(const Frame &f, int attempt)
-{
-    if (ob.recorder == nullptr) {
-        return;
-    }
-    obsRecord(obs::EventKind::TxLoss, f.id, obsT(f, clk->now()), 0.0,
-              obs::kTidUplink, txSeq(attempt, 2), attempt, 0, 0.0);
-}
-
-void
-StreamingPipeline::obsTxBackoff(const Frame &f, int attempt, double wait)
-{
-    if (ob.recorder == nullptr) {
-        return;
-    }
-    obsRecord(obs::EventKind::TxBackoff, f.id, obsT(f, clk->now()),
-              wait * opts.time_scale, obs::kTidUplink,
-              txSeq(attempt, 3), attempt, 0, wait);
-}
-
-void
 StreamingPipeline::initRun()
 {
     incam_assert(!consumed, "a StreamingPipeline instance is single-use");
     consumed = true;
-    rs = std::make_unique<RunState>(makeSourcePacer());
+    rs = std::make_unique<RunState>(
+        TokenBucket(opts.source_fps > 0.0
+                        ? opts.source_fps / opts.time_scale
+                        : 0.0,
+                    opts.stage_burst_frames, clk));
     rs->state.resize(specs.size() + 2);
     rs->stage_pacers.reserve(specs.size());
-    for (size_t b = 0; b < specs.size(); ++b) {
-        rs->stage_pacers.push_back(makeStagePacer(b));
+    for (const BlockPlan &plan : epochs.front().plans) {
+        rs->stage_pacers.emplace_back(plan.pacer_rate,
+                                      opts.stage_burst_frames, clk);
     }
     rs->pacer_epochs.assign(specs.size(), 0);
     rs->pass_credits.assign(specs.size(), 0.0);
@@ -430,13 +393,13 @@ StreamingPipeline::beginEventRun()
 }
 
 bool
-StreamingPipeline::processBlockFrame(size_t b, Frame &f,
-                                     TokenBucket &pacer,
-                                     int &pacer_epoch,
-                                     double &pass_credit)
+StreamingPipeline::processBlockFrame(size_t b, Frame &f)
 {
     StageSpec &spec = specs[b];
     RunState::StageState &st = rs->state[b + 1];
+    TokenBucket &pacer = rs->stage_pacers[b];
+    int &pacer_epoch = rs->pacer_epochs[b]; // epoch of pacer's rate
+    double &pass_credit = rs->pass_credits[b];
     ++st.in;
     const Epoch &ep = epochs[static_cast<size_t>(f.epoch)];
     const BlockPlan &plan = ep.plans[b];
@@ -600,32 +563,65 @@ StreamingPipeline::planDelivery(const Frame &f)
     return p;
 }
 
-bool
-StreamingPipeline::txAttemptLost(const Frame &f, int attempt) const
+void
+StreamingPipeline::beginAttempt(const Frame &f, TxOutcome &out)
 {
+    ++out.attempts;
+    if (ob.recorder != nullptr) {
+        obsRecord(obs::EventKind::TxAttempt, f.id, obsT(f, clk->now()),
+                  0.0, obs::kTidUplink, txSeq(out.attempts, 0),
+                  out.attempts, 0, f.bytes.b());
+    }
+}
+
+bool
+StreamingPipeline::settleAttempt(const Frame &f, const TxPlan &plan,
+                                 TxOutcome &out, Energy energy,
+                                 double &wait)
+{
+    const int attempt = out.attempts;
+    out.energy += energy;
+    if (attempt > 1) {
+        out.retry_bytes += f.bytes;
+        out.retry_energy += energy;
+    }
+    const bool traced = ob.recorder != nullptr;
+    const double t = traced ? obsT(f, clk->now()) : 0.0;
+    if (traced) {
+        obsRecord(obs::EventKind::TxGrant, f.id, t, 0.0, obs::kTidUplink,
+                  txSeq(attempt, 1), attempt, 0, energy.j());
+    }
     // The fault plan's hash draw decides each attempt independently,
     // keyed by (camera, frame, attempt) so the outcome sequence is the
     // same under every execution shape.
-    return injector != nullptr &&
-           injector->txLost(fault_camera, f.id, attempt - 1,
-                            f.trace_time);
-}
-
-double
-StreamingPipeline::txBackoffWait(const Frame &f,
-                                 int failed_attempts) const
-{
-    double wait = opts.delivery.ack_timeout +
-                  opts.delivery.backoff_base *
-                      std::ldexp(1.0, failed_attempts - 1);
-    if (opts.delivery.backoff_jitter > 0.0 && injector != nullptr &&
-        wait > 0.0) {
-        const double u = injector->backoffJitter(
-            fault_camera, f.id, failed_attempts - 1);
-        wait *= 1.0 +
-                opts.delivery.backoff_jitter * (2.0 * u - 1.0);
+    if (injector == nullptr ||
+        !injector->txLost(fault_camera, f.id, attempt - 1, f.trace_time)) {
+        out.remote_ok = true;
+        return true;
     }
-    return wait;
+    if (traced) {
+        obsRecord(obs::EventKind::TxLoss, f.id, t, 0.0, obs::kTidUplink,
+                  txSeq(attempt, 2), attempt, 0, 0.0);
+    }
+    if (attempt >= plan.budget) {
+        return true;
+    }
+    // Ack timeout plus exponential backoff, jittered per attempt by
+    // the same interleaving-independent draw.
+    wait = opts.delivery.ack_timeout +
+           opts.delivery.backoff_base * std::ldexp(1.0, attempt - 1);
+    if (opts.delivery.backoff_jitter > 0.0 && wait > 0.0) {
+        const double u =
+            injector->backoffJitter(fault_camera, f.id, attempt - 1);
+        wait *= 1.0 + opts.delivery.backoff_jitter * (2.0 * u - 1.0);
+    }
+    out.backoff_seconds += wait;
+    if (traced) {
+        obsRecord(obs::EventKind::TxBackoff, f.id, t,
+                  wait * opts.time_scale, obs::kTidUplink,
+                  txSeq(attempt, 3), attempt, 0, wait);
+    }
+    return false;
 }
 
 void
@@ -745,35 +741,21 @@ StreamingPipeline::finishDelivery(const Frame &f, const TxPlan &plan,
 }
 
 void
-StreamingPipeline::deliverFrame(Frame &f)
+StreamingPipeline::deliverFrame(const Frame &f)
 {
-    TxPlan plan = planDelivery(f);
+    const TxPlan plan = planDelivery(f);
     TxOutcome out;
     if (plan.attempt_remote) {
-        // Bounded retry with timeout + exponential backoff. Every
-        // attempt pays full bytes, airtime and Joules.
+        // Bounded retry: every attempt pays full bytes, airtime and
+        // Joules; a paced run sits out each backoff on its clock.
         for (;;) {
-            ++out.attempts;
-            obsTxAttempt(f, out.attempts);
-            const Energy attempt_e =
-                rs->link->acquire(rs->endpoint, f.bytes.b(), f.trace_time);
-            out.energy += attempt_e;
-            obsTxGrant(f, out.attempts, attempt_e);
-            if (out.attempts > 1) {
-                out.retry_bytes += f.bytes;
-                out.retry_energy += attempt_e;
-            }
-            if (!txAttemptLost(f, out.attempts)) {
-                out.remote_ok = true;
+            beginAttempt(f, out);
+            const Energy e = rs->link->acquire(rs->endpoint, f.bytes.b(),
+                                               f.trace_time);
+            double wait = 0.0;
+            if (settleAttempt(f, plan, out, e, wait)) {
                 break;
             }
-            obsTxLoss(f, out.attempts);
-            if (out.attempts >= plan.budget) {
-                break;
-            }
-            const double wait = txBackoffWait(f, out.attempts);
-            out.backoff_seconds += wait;
-            obsTxBackoff(f, out.attempts, wait);
             if (opts.pace_link && wait > 0.0) {
                 clk->sleepFor(wait * opts.time_scale);
             }
@@ -782,43 +764,18 @@ StreamingPipeline::deliverFrame(Frame &f)
     finishDelivery(f, plan, out);
 }
 
-TokenBucket
-StreamingPipeline::makeSourcePacer() const
-{
-    return TokenBucket(opts.source_fps > 0.0
-                           ? opts.source_fps / opts.time_scale
-                           : 0.0,
-                       opts.stage_burst_frames, clk);
-}
-
-TokenBucket
-StreamingPipeline::makeStagePacer(size_t b) const
-{
-    return TokenBucket(epochs.front().plans[b].pacer_rate,
-                       opts.stage_burst_frames, clk);
-}
-
 void
 StreamingPipeline::sourceLoop()
 {
     RunState::StageState &st = rs->state[0];
     FrameQueue &out = *rs->queues[0];
-    for (int64_t id = 0; id < opts.frames && !pastDeadline(); ++id) {
-        Frame f = makeSourceFrame(id, rs->source_pacer);
-        if (injector != nullptr &&
-            injector->cameraDown(fault_camera, f.trace_time)) {
-            // Crash window: the camera is down, the frame never
-            // leaves it. The frame clock keeps advancing, so the
-            // restarted camera rejoins the schedule on time.
-            ++st.dropped;
-            if (ob.recorder != nullptr) {
-                obsRecord(obs::EventKind::Crash, f.id,
-                          obsT(f, f.emit_s), 0.0, obs::kTidSource,
-                          obsSeq(kSiteCrash), 0, 0, 0.0);
-            }
-            if (oh.frames_dropped != nullptr) {
-                oh.frames_dropped->add(1.0);
-            }
+    Frame f;
+    for (;;) {
+        const SourceStep step = sourceStep(f);
+        if (step == SourceStep::Done) {
+            break;
+        }
+        if (step == SourceStep::Skipped) {
             continue;
         }
         if (ob.recorder != nullptr && !ob.frame_time) {
@@ -843,12 +800,16 @@ StreamingPipeline::pastDeadline() const
                opts.duration * opts.time_scale;
 }
 
-Frame
-StreamingPipeline::makeSourceFrame(int64_t id, TokenBucket &pacer)
+StreamingPipeline::SourceStep
+StreamingPipeline::sourceStep(Frame &f)
 {
+    if (rs->next_id >= opts.frames || pastDeadline()) {
+        return SourceStep::Done;
+    }
+    const int64_t id = rs->next_id++;
     RunState::StageState &st = rs->state[0];
     const double t0 = clk->now();
-    Frame f;
+    f = Frame{};
     f.id = id;
     f.bytes = pipe.sourceBytes();
     if (fill_fn) {
@@ -863,7 +824,7 @@ StreamingPipeline::makeSourceFrame(int64_t id, TokenBucket &pacer)
     f.trace_time = opts.trace_fps > 0.0
                        ? static_cast<double>(id) / opts.trace_fps
                        : -1.0;
-    pacer.acquire(1.0);
+    rs->source_pacer.acquire(1.0);
     f.emit_s = clk->now();
     probe.source_frames.fetch_add(1, std::memory_order_relaxed);
     st.busy_seconds += f.emit_s - t0;
@@ -875,7 +836,23 @@ StreamingPipeline::makeSourceFrame(int64_t id, TokenBucket &pacer)
     if (oh.sourced != nullptr) {
         oh.sourced->add(1.0);
     }
-    return f;
+    if (injector != nullptr &&
+        injector->cameraDown(fault_camera, f.trace_time)) {
+        // Crash window: the camera is down, the frame never leaves
+        // it. The frame clock keeps advancing, so the restarted camera
+        // rejoins the schedule on time.
+        ++st.dropped;
+        if (ob.recorder != nullptr) {
+            obsRecord(obs::EventKind::Crash, f.id, obsT(f, f.emit_s),
+                      0.0, obs::kTidSource, obsSeq(kSiteCrash), 0, 0,
+                      0.0);
+        }
+        if (oh.frames_dropped != nullptr) {
+            oh.frames_dropped->add(1.0);
+        }
+        return SourceStep::Skipped;
+    }
+    return SourceStep::Emitted;
 }
 
 void
@@ -895,9 +872,7 @@ StreamingPipeline::blockLoop(size_t b)
                              static_cast<uint32_t>(tid)),
                       0, 0, 0.0);
         }
-        if (!processBlockFrame(b, f, rs->stage_pacers[b],
-                               rs->pacer_epochs[b],
-                               rs->pass_credits[b])) {
+        if (!processBlockFrame(b, f)) {
             continue;
         }
         if (ob.recorder != nullptr && !ob.frame_time) {
@@ -1003,29 +978,13 @@ StreamingPipeline::nextFrame(Frame &f)
 {
     incam_assert(rs != nullptr,
                  "beginEventRun() must precede nextFrame()");
-    if (rs->next_id >= opts.frames || pastDeadline()) {
-        return SourceStep::Done;
-    }
-    const int64_t id = rs->next_id++;
-    f = makeSourceFrame(id, rs->source_pacer);
-    if (injector != nullptr &&
-        injector->cameraDown(fault_camera, f.trace_time)) {
-        ++rs->state[0].dropped; // crash window: see sourceLoop
-        if (ob.recorder != nullptr) {
-            obsRecord(obs::EventKind::Crash, f.id, obsT(f, f.emit_s),
-                      0.0, obs::kTidSource, obsSeq(kSiteCrash), 0, 0,
-                      0.0);
-        }
-        if (oh.frames_dropped != nullptr) {
-            oh.frames_dropped->add(1.0);
-        }
-        return SourceStep::Skipped;
+    const SourceStep step = sourceStep(f);
+    if (step != SourceStep::Emitted) {
+        return step;
     }
     ++rs->state[0].out;
     for (size_t b = 0; b < specs.size(); ++b) {
-        if (!processBlockFrame(b, f, rs->stage_pacers[b],
-                               rs->pacer_epochs[b],
-                               rs->pass_credits[b])) {
+        if (!processBlockFrame(b, f)) {
             return SourceStep::Skipped;
         }
         ++rs->state[b + 1].out;
@@ -1082,14 +1041,6 @@ StreamingPipeline::run(const RunOptions &options)
       }
     }
     incam_panic("unknown ExecutionMode");
-}
-
-RuntimeReport
-StreamingPipeline::run()
-{
-    RunOptions ro;
-    ro.mode = ExecutionMode::ThreadedStages;
-    return run(ro);
 }
 
 RuntimeReport

@@ -75,7 +75,6 @@ class Gauge;                    // obs/metrics.hh
 class LogHistogram;             // obs/histogram.hh
 }
 
-class TokenBucket;   // runtime/pacer.hh
 class ContentTrace;  // trace/trace.hh
 class FaultInjector; // fault/fault.hh
 
@@ -206,17 +205,18 @@ struct RuntimeOptions
 enum class ExecutionMode
 {
     /**
-     * Solo-only: one host thread per pipeline stage, bounded SPSC
-     * queues between them (the original run() shape). Real
+     * Solo-only, and a solo run's default: one host thread per
+     * pipeline stage, bounded SPSC queues between them. Real
      * concurrency: frames pipeline across stages. Requires a wall
      * clock.
      */
     ThreadedStages,
 
     /**
-     * The whole chain serially on the calling thread, no queues (the
-     * original runInline() shape). Works on any clock; on a
-     * VirtualClock the run executes in model time at memory speed.
+     * Solo-only: the whole chain serially on the calling thread, no
+     * queues. Works on any clock; on a VirtualClock the run executes
+     * in model time at memory speed. A ThreadPerCamera fleet runs
+     * each camera this way.
      */
     Inline,
 
@@ -308,9 +308,8 @@ struct Telemetry
  *
  * Build it, optionally attach real executors, traces, an adaptive
  * controller's tick and a frame fill callback, then run(). Each
- * instance is single-use: run() consumes the stream. Must not be
- * invoked from inside a thread-pool worker (stage loops need real
- * concurrency, not inline nesting).
+ * instance is single-use: run() consumes the stream, whatever its
+ * execution shape.
  */
 class StreamingPipeline
 {
@@ -425,57 +424,27 @@ class StreamingPipeline
     void setObs(const obs::ObsConfig &config, int camera = 0,
                 const std::string &label = "");
 
-    // ------- observability taps for external delivery schedulers ----
-    // The discrete-event engine owns transmission scheduling, so the
-    // per-attempt uplink events are exposed as helpers; deliverFrame()
-    // emits through these same calls, which keeps the event sequence
-    // of a frame identical across execution shapes. All are cheap
-    // no-ops when no recorder is installed.
-
-    /** Attempt @p attempt (1-based) of @p f started. */
-    void obsTxAttempt(const Frame &f, int attempt);
-    /** The medium granted attempt @p attempt's airtime for @p e. */
-    void obsTxGrant(const Frame &f, int attempt, Energy e);
-    /** The fault plan lost attempt @p attempt. */
-    void obsTxLoss(const Frame &f, int attempt);
-    /** Post-loss timeout/backoff of @p wait model seconds began. */
-    void obsTxBackoff(const Frame &f, int attempt, double wait);
-
     /**
      * THE run entry point: execute the stream to completion under
      * @p options' execution shape and clock, and report measurements.
+     * The default is ThreadedStages on the installed clock.
      * ThreadedStages must not be invoked from inside a thread-pool
      * worker (stage loops need real concurrency); Inline and
      * DiscreteEvent may. ThreadPerCamera is fleet-only and panics
      * here. Each instance is single-use regardless of shape.
      */
-    RuntimeReport run(const RunOptions &options);
-
-    /**
-     * Deprecated shape-specific entry point; forwards to
-     * run({ExecutionMode::ThreadedStages}). Prefer run(RunOptions).
-     */
-    RuntimeReport run();
-
-    /**
-     * Deprecated shape-specific entry point; forwards to
-     * run({ExecutionMode::Inline}) on the installed clock. One loop
-     * drives each frame source -> stages -> uplink with no queues;
-     * token buckets accrue credit in parallel wall time, so the
-     * steady-state rate is still min(stage rates, link rate). May be
-     * called from inside a thread-pool worker. Prefer run(RunOptions).
-     */
-    RuntimeReport runInline();
+    RuntimeReport run(const RunOptions &options = {});
 
     // ------- event composition: externally scheduled frame steps -----
     // The discrete-event engine (sim/SimEngine) drives many pipelines
     // from one event loop, so it needs the inline loop's per-frame
     // steps exposed individually: beginEventRun() once, then repeat
-    // { nextFrame() -> planDelivery() -> its own transmission schedule
-    // -> finishDelivery() } until nextFrame() returns Done, then
-    // finishRun(). The split is exact: runInline() itself is now
-    // written in these same steps, which is what makes discrete-event
-    // runs bit-identical to inline ones by construction.
+    // { nextFrame() -> planDelivery() -> per attempt { beginAttempt()
+    // -> the medium's grant -> settleAttempt() } -> finishDelivery() }
+    // until nextFrame() returns Done, then finishRun(). Every shape
+    // runs these same steps; only who grants an attempt differs (the
+    // run's SharedLink, or the engine's SimLink), which is what makes
+    // discrete-event runs bit-identical to inline ones by construction.
 
     /** What one source step produced. */
     enum class SourceStep
@@ -500,7 +469,7 @@ class StreamingPipeline
         double start_t = 0.0;        ///< clock time entering the sink
     };
 
-    /** What the engine's transmission schedule measured. */
+    /** What one frame's attempts have measured so far. */
     struct TxOutcome
     {
         int attempts = 0;      ///< attempts actually made
@@ -529,17 +498,27 @@ class StreamingPipeline
      *  the sink. Call exactly once per Emitted frame. */
     TxPlan planDelivery(const Frame &frame);
 
-    /** Does the fault plan lose attempt @p attempt (1-based) of
-     *  @p frame? Pure (counter-hash draw); interleaving-independent. */
-    bool txAttemptLost(const Frame &frame, int attempt) const;
+    /** Start the next transmission attempt of @p frame: count it in
+     *  @p out and trace it. Then have the medium grant its bytes. */
+    void beginAttempt(const Frame &frame, TxOutcome &out);
 
-    /** Model-time wait after @p failed_attempts lost attempts:
-     *  ack_timeout + jittered exponential backoff. Pure. */
-    double txBackoffWait(const Frame &frame, int failed_attempts) const;
+    /**
+     * Settle the attempt beginAttempt() started, which the medium
+     * granted for @p energy: book the grant into @p out, draw the
+     * fault plan's loss (a counter-hash draw keyed by camera, frame
+     * and attempt, so independent of interleaving), and check
+     * @p plan's retry budget. Returns true once the frame is resolved,
+     * delivered or out of budget. False means the attempt was lost
+     * with budget left: the timeout plus jittered exponential backoff
+     * is accrued into @p out, traced, and stored in @p wait (model
+     * seconds) for the caller to sit out before the next attempt.
+     */
+    bool settleAttempt(const Frame &frame, const TxPlan &plan,
+                       TxOutcome &out, Energy energy, double &wait);
 
     /** Book @p outcome for @p frame under @p plan: ledger, telemetry,
      *  latency, per-stage busy time. Call exactly once per Emitted
-     *  frame, after the transmission schedule resolves. */
+     *  frame, after its last attempt settles. */
     void finishDelivery(const Frame &frame, const TxPlan &plan,
                         const TxOutcome &outcome);
 
@@ -582,8 +561,13 @@ class StreamingPipeline
     /** Point the run at its uplink: the attached SharedLink, else a
      *  one-endpoint link of its own. */
     void openLink();
-    /** The ThreadedStages body (the original run()). */
+    /** The ThreadedStages body. */
     RuntimeReport runThreaded();
+    /** The Inline body: one loop drives each frame source -> stages
+     *  -> uplink with no queues, on the installed clock. Token buckets
+     *  accrue credit in parallel clock time, so the steady-state rate
+     *  is still min(stage rates, link rate). */
+    RuntimeReport runInline();
     // The threaded shape's phases: beginRun(), then every stage index
     // in [0, stageCount()) executes runStage() concurrently (they
     // block on each other's queues), then finishRun().
@@ -596,23 +580,19 @@ class StreamingPipeline
     void uplinkLoop();
     /** RuntimeOptions::duration elapsed (always false when unset). */
     bool pastDeadline() const;
-    /** Per-frame source body (shared by the threaded and inline
-     *  shapes): construct, fill, tick, stamp, pace, account. */
-    Frame makeSourceFrame(int64_t id, TokenBucket &pacer);
-    /** Pacer factories shared by both shapes, so the rate formulas
-     *  exist exactly once. */
-    TokenBucket makeSourcePacer() const;
-    TokenBucket makeStagePacer(size_t b) const;
-    /** Per-frame body of block stage @p b (shared by the threaded and
-     *  inline shapes): epoch plan lookup, accounting, executor,
-     *  pacing, gating. Returns false when the frame was gated away
-     *  (and counted dropped). @p pacer_epoch tracks which epoch's
-     *  rate the stage pacer currently runs at. */
-    bool processBlockFrame(size_t b, Frame &frame, TokenBucket &pacer,
-                           int &pacer_epoch, double &pass_credit);
-    /** Per-frame uplink body: planDelivery + the retry loop through
-     *  the run's SharedLink + finishDelivery. */
-    void deliverFrame(Frame &frame);
+    /** The source stage's step, shared by every shape: Done once the
+     *  frame budget or deadline is reached; otherwise construct, fill,
+     *  tick, stamp, pace and account the next frame into @p frame,
+     *  and Skipped when the camera's crash window swallows it. */
+    SourceStep sourceStep(Frame &frame);
+    /** Per-frame body of block stage @p b (shared by every shape):
+     *  epoch plan lookup, accounting, executor, pacing, gating.
+     *  Returns false when the frame was gated away (and counted
+     *  dropped). */
+    bool processBlockFrame(size_t b, Frame &frame);
+    /** Per-frame uplink body: planDelivery, then each attempt through
+     *  the run's SharedLink, then finishDelivery. */
+    void deliverFrame(const Frame &frame);
     /** Resolve a validated config into per-block plans. */
     Epoch makeEpoch(const PipelineConfig &config) const;
 

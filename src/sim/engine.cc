@@ -131,35 +131,18 @@ SimEngine::sourceStep(Cam &cam, double t)
 void
 SimEngine::countingDelivery(Cam &cam)
 {
-    // The counting branch of StreamingPipeline::deliverFrame, step for
-    // step: every attempt is priced and granted, losses come from the
-    // interleaving-independent hash draw, backoff is accounted but
-    // never slept — which is what makes counting-mode discrete-event
-    // runs bit-identical to the threaded runtime.
+    // Counting: every attempt is priced and granted at once, and its
+    // backoff accrued, never waited, so the frame's whole retry
+    // schedule resolves at its emission instant.
+    const double bytes = cam.frame.bytes.b();
     for (;;) {
-        ++cam.out.attempts;
-        cam.sp->obsTxAttempt(cam.frame, cam.out.attempts);
-        const Energy e =
-            link.price(cam.frame.bytes.b(), cam.frame.trace_time);
-        link.countGrant(cam.index, cam.frame.bytes.b());
-        cam.out.energy += e;
-        cam.sp->obsTxGrant(cam.frame, cam.out.attempts, e);
-        if (cam.out.attempts > 1) {
-            cam.out.retry_bytes += cam.frame.bytes;
-            cam.out.retry_energy += e;
-        }
-        if (!cam.sp->txAttemptLost(cam.frame, cam.out.attempts)) {
-            cam.out.remote_ok = true;
+        cam.sp->beginAttempt(cam.frame, cam.out);
+        const Energy e = link.price(bytes, cam.frame.trace_time);
+        link.countGrant(cam.index, bytes);
+        double wait = 0.0;
+        if (cam.sp->settleAttempt(cam.frame, cam.plan, cam.out, e, wait)) {
             break;
         }
-        cam.sp->obsTxLoss(cam.frame, cam.out.attempts);
-        if (cam.out.attempts >= cam.plan.budget) {
-            break;
-        }
-        const double wait =
-            cam.sp->txBackoffWait(cam.frame, cam.out.attempts);
-        cam.out.backoff_seconds += wait;
-        cam.sp->obsTxBackoff(cam.frame, cam.out.attempts, wait);
     }
     cam.sp->finishDelivery(cam.frame, cam.plan, cam.out);
 }
@@ -171,8 +154,7 @@ SimEngine::startAttempt(Cam &cam, double t)
         return;
     }
     cam.clock.advanceTo(t);
-    ++cam.out.attempts;
-    cam.sp->obsTxAttempt(cam.frame, cam.out.attempts);
+    cam.sp->beginAttempt(cam.frame, cam.out);
     link.submit(cam.index, cam.frame.bytes.b(), t);
     // Settling history can pop another endpoint's departure due at
     // this very instant; the submit also stales that departure's
@@ -197,31 +179,16 @@ SimEngine::resolveAttempt(Cam &cam, double t, Energy energy)
         return; // failed while its last attempt was in flight
     }
     cam.clock.advanceTo(t);
-    cam.out.energy += energy;
-    cam.sp->obsTxGrant(cam.frame, cam.out.attempts, energy);
-    if (cam.out.attempts > 1) {
-        cam.out.retry_bytes += cam.frame.bytes;
-        cam.out.retry_energy += energy;
-    }
     try {
-        if (!cam.sp->txAttemptLost(cam.frame, cam.out.attempts)) {
-            cam.out.remote_ok = true;
+        double wait = 0.0;
+        if (cam.sp->settleAttempt(cam.frame, cam.plan, cam.out, energy,
+                                  wait)) {
             cam.sp->finishDelivery(cam.frame, cam.plan, cam.out);
             scheduleSource(cam);
             return;
         }
-        cam.sp->obsTxLoss(cam.frame, cam.out.attempts);
-        if (cam.out.attempts >= cam.plan.budget) {
-            cam.sp->finishDelivery(cam.frame, cam.plan, cam.out);
-            scheduleSource(cam);
-            return;
-        }
-        // Lost with budget left: sit out the jittered backoff on
-        // model time, then submit the next attempt.
-        const double wait =
-            cam.sp->txBackoffWait(cam.frame, cam.out.attempts);
-        cam.out.backoff_seconds += wait;
-        cam.sp->obsTxBackoff(cam.frame, cam.out.attempts, wait);
+        // Lost with budget left: sit out the backoff on model time,
+        // then submit the next attempt.
         sched.schedule(t + wait, cam.index, kTx);
     } catch (...) {
         failCamera(cam, std::current_exception());

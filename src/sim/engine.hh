@@ -13,28 +13,31 @@
  *
  * The engine does not reimplement the pipeline. It drives the exact
  * per-frame steps StreamingPipeline exposes for event composition —
- * nextFrame() / planDelivery() / txAttemptLost() / txBackoffWait() /
- * finishDelivery() — which are the same steps runInline() executes,
- * so a discrete-event run books frames through the same ledger and
- * telemetry code paths as every other execution shape. Stage and
- * source pacing happen *inside* nextFrame() against the camera's
- * VirtualClock; only the shared medium needs engine-side modeling,
- * which sim/SimLink provides as virtual-time weighted fair sharing.
+ * nextFrame() / planDelivery() / beginAttempt() and settleAttempt()
+ * per attempt / finishDelivery() — which are the steps every other
+ * execution shape runs, so a discrete-event run books frames through
+ * the same ledger and telemetry code paths and settles each attempt
+ * by the same rule (grant, hash-draw loss, retry budget, backoff).
+ * Stage and source pacing happen *inside* nextFrame() against the
+ * camera's VirtualClock; the engine supplies only each attempt's grant
+ * from the shared medium, which sim/SimLink models as virtual-time
+ * weighted fair sharing.
  *
  * Two delivery regimes, mirroring SharedLink's:
  *
  *  - *Counting* (pace_link = false): a frame's whole retry schedule
- *    resolves synchronously at its emission instant — price, grant,
- *    hash-draw loss, accrued (never slept) backoff — exactly the
- *    branch deliverFrame() takes, so ledgers, energies and adaptive
- *    decisions are bit-identical to the threaded runtime.
+ *    resolves synchronously at its emission instant; each attempt is
+ *    priced and granted at once and its backoff accrued, never slept,
+ *    so ledgers, energies and adaptive decisions are bit-identical to
+ *    the threaded runtime.
  *
  *  - *Paced* (pace_link = true): each attempt is submitted to SimLink
  *    and the camera sits blocked in model time until the departure
- *    event resolves it; lost attempts reschedule after the jittered
- *    backoff. Fluid-fair sharing plays out exactly (virtual time), so
- *    paced discrete-event runs agree with the threaded fleet to the
- *    same tolerance the fleet's measured-vs-model gate uses.
+ *    event settles it; a lost attempt with budget left schedules the
+ *    next one after its jittered backoff. Fluid-fair sharing plays out
+ *    exactly (virtual time), so paced discrete-event runs agree with
+ *    the threaded fleet to the same tolerance the fleet's
+ *    measured-vs-model gate uses.
  *
  * A camera that throws is failed in place: its endpoint is released
  * (the medium is work-conserving, survivors speed up), its remaining

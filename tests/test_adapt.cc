@@ -517,8 +517,10 @@ TEST(AdaptiveController, DecisionsAreBitDeterministic)
             pipe, trace.at(Time{}), energyController(fps));
         ctl->useNetworkTrace(&trace);
         ctl->attach(sp);
-        const RuntimeReport rep =
-            threaded ? sp.run() : sp.runInline();
+        RunOptions ro;
+        ro.mode = threaded ? ExecutionMode::ThreadedStages
+                           : ExecutionMode::Inline;
+        const RuntimeReport rep = sp.run(ro);
         return std::make_pair(std::move(ctl), rep.delivered_frames);
     };
 

@@ -394,7 +394,10 @@ TEST(FaultRuntime, LedgerAgreesAcrossExecutionShapes)
                              PipelineConfig::full(pipe, Impl::Asic, 0),
                              radioLink("l", 1e6, 1.0), opts);
         sp.setFaultInjector(&inj);
-        return threaded ? sp.run() : sp.runInline();
+        RunOptions ro;
+        ro.mode = threaded ? ExecutionMode::ThreadedStages
+                           : ExecutionMode::Inline;
+        return sp.run(ro);
     };
     const RuntimeReport a = run(true);
     const RuntimeReport b = run(false);
@@ -621,8 +624,10 @@ TEST(DegradeToLocal, DecisionsAreBitDeterministicAcrossShapes)
             pipe, link, degradeController(fps));
         ctl->useFaultPlan(&plan);
         ctl->attach(sp);
-        const RuntimeReport rep =
-            threaded ? sp.run() : sp.runInline();
+        RunOptions ro;
+        ro.mode = threaded ? ExecutionMode::ThreadedStages
+                           : ExecutionMode::Inline;
+        const RuntimeReport rep = sp.run(ro);
         return std::make_pair(std::move(ctl), rep);
     };
     const auto [ctl_t, rep_t] = run(true);

@@ -6,7 +6,8 @@
  * The linter enforces boundaries no compiler checks (wall time only
  * in sim/clock.*, randomness only in common/rng.hh, locks only
  * through the annotated wrappers, LossLedger roll-up writes paired,
- * the SharedLink contract adjacent to its declarations), so this
+ * the SharedLink contract adjacent to its declarations, fault-plan
+ * draws only in the runtime's shared rule), so this
  * suite proves two things about it:
  *
  *  1. *Sensitivity*: each rule actually fires on a minimal bad
@@ -330,6 +331,32 @@ TEST(Lint, ObsClockRuleScopedToSrcObs)
         "}\n");
     std::string out;
     EXPECT_EQ(runLinter(f, &out), 0) << out;
+}
+
+TEST(Lint, FaultDrawsRuleConfinesPlanDrawsToTheRuntime)
+{
+    SKIP_WITHOUT_PYTHON();
+    // The fault plan is drawn only by the runtime's shared attempt,
+    // stage and source rule (and inside src/fault/). The same calls
+    // elsewhere under src/ are findings, one per line; in
+    // src/runtime/runtime.cc they pass.
+    const std::string body =
+        "bool lost(const FaultInjector *inj, long frame) {\n"
+        "    // txLost( in prose never fires\n"
+        "    return inj->txLost(0, frame, 0, -1.0) ||\n"
+        "           inj->cameraDown(0, 0.0);\n"
+        "}\n";
+    std::string out;
+    const std::string bad = writeFixture("src/sim/draws.cc", body);
+    EXPECT_EQ(runLinter(bad, &out), 1) << out;
+    EXPECT_NE(out.find("draws.cc:3: [fault-draws]"), std::string::npos)
+        << out;
+    EXPECT_NE(out.find("draws.cc:4: [fault-draws]"), std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("draws.cc:2:"), std::string::npos) << out;
+
+    const std::string ok = writeFixture("src/runtime/runtime.cc", body);
+    EXPECT_EQ(runLinter(ok, &out), 0) << out;
 }
 
 TEST(Lint, CleanTreeHasZeroFindings)

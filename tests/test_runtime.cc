@@ -557,7 +557,9 @@ TEST(Runtime, PacedRunOnZeroOrNanGoodputPanics)
          {0.0, std::numeric_limits<double>::quiet_NaN()}) {
         StreamingPipeline sp(pipe, PipelineConfig::full(pipe),
                              radioLink(bps), opts);
-        EXPECT_DEATH((void)sp.runInline(),
+        RunOptions ro;
+        ro.mode = ExecutionMode::Inline;
+        EXPECT_DEATH((void)sp.run(ro),
                      "a paced shared link needs positive goodput")
             << bps;
     }
@@ -575,7 +577,9 @@ TEST(Runtime, CountingRunOnZeroGoodputBooksEnergyPerBit)
     opts.pace_link = false;
     StreamingPipeline sp(pipe, PipelineConfig::full(pipe, Impl::Asic, 0),
                          radioLink(0.0), opts);
-    const RuntimeReport rep = sp.runInline();
+    RunOptions ro;
+    ro.mode = ExecutionMode::Inline;
+    const RuntimeReport rep = sp.run(ro);
     EXPECT_EQ(rep.delivered_frames, 50);
     EXPECT_DOUBLE_EQ(rep.link.bytes_sent.b(), 50.0 * 1000.0);
     // 50 frames x 1000 B x 8 bit x 1 nJ/bit.
@@ -595,7 +599,10 @@ TEST(Runtime, InlineRunMatchesThreadedCounts)
         opts.pace_link = false;
         StreamingPipeline sp(pipe, PipelineConfig::full(pipe),
                              twentyFiveGbE(), opts);
-        return inline_mode ? sp.runInline() : sp.run();
+        RunOptions ro;
+        ro.mode = inline_mode ? ExecutionMode::Inline
+                              : ExecutionMode::ThreadedStages;
+        return sp.run(ro);
     };
     const RuntimeReport threaded = makeRun(false);
     const RuntimeReport inlined = makeRun(true);
@@ -630,7 +637,9 @@ TEST(Runtime, InlineMeasuredFpsMatchesModel)
     opts.frames = 150;
     opts.gating = GatingMode::None;
     StreamingPipeline sp(pipe, cfg, link, opts);
-    const RuntimeReport rep = sp.runInline();
+    RunOptions ro;
+    ro.mode = ExecutionMode::Inline;
+    const RuntimeReport rep = sp.run(ro);
     EXPECT_EQ(rep.delivered_frames, 150);
     EXPECT_LT(relError(rep.model_fps, expected), 0.15)
         << "measured " << rep.model_fps << " vs " << expected;

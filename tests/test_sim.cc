@@ -27,6 +27,8 @@
 #include "fa/scenario.hh"
 #include "fault/fault.hh"
 #include "fleet/fleet.hh"
+#include "obs/export.hh"
+#include "obs/trace.hh"
 #include "runtime/pacer.hh"
 #include "runtime/runtime.hh"
 #include "runtime/uplink.hh"
@@ -720,6 +722,86 @@ TEST(Sim, PacedRetryWaitsCompleteAtEveryFleetSize)
         EXPECT_TRUE(rep.ledger.consistent()) << n << " cameras";
         EXPECT_EQ(rep.ledger.offered, n * kFrames) << n << " cameras";
     }
+}
+
+TEST(Sim, PacedRetriesOnTheEngineMatchInlineOnModelTime)
+{
+    // The engine's paced attempt path (submit, departure, loss draw,
+    // jittered backoff on model time) against the runtime's own retry
+    // loop: one paced camera on the engine and the same camera run
+    // Inline on a VirtualClock book the same ledger and trace the same
+    // frames. Only the energies may differ, in the last bits: SimLink
+    // integrates the price over a departure, the solo SharedLink also
+    // prices banked bytes at claim time.
+    const Pipeline pipe = offloadablePipeline();
+    const PipelineConfig raw = PipelineConfig::full(pipe, Impl::Asic, 0);
+    const NetworkLink net = radioLink("l", 50e3, 1.0);
+    FaultPlan plan;
+    plan.seed = 5;
+    plan.tx_loss = 0.25;
+    const FaultInjector faults(plan);
+    DeliveryPolicy delivery;
+    delivery.max_retries = 2;
+    delivery.ack_timeout = 0.02;
+    delivery.backoff_base = 0.05;
+    delivery.backoff_jitter = 0.3;
+    constexpr int64_t kFrames = 120;
+    constexpr double kFps = 4.0;
+
+    FleetOptions fo;
+    fo.gating = GatingMode::None;
+    fo.trace_fps = kFps;
+    fo.faults = &faults;
+    fo.delivery = delivery;
+    CameraFleet fleet(net, fo);
+    FleetCamera cam("cam", pipe, raw);
+    cam.frames = kFrames;
+    fleet.addCamera(std::move(cam));
+    obs::TraceRecorder des_rec;
+    RunOptions des_ro;
+    des_ro.mode = ExecutionMode::DiscreteEvent;
+    des_ro.obs.recorder = &des_rec;
+    des_ro.obs.frame_time = true;
+    const RuntimeReport des = fleet.run(des_ro).cameras.at(0).runtime;
+
+    RuntimeOptions opts;
+    opts.frames = kFrames;
+    opts.gating = GatingMode::None;
+    opts.trace_fps = kFps;
+    opts.delivery = delivery;
+    StreamingPipeline sp(pipe, raw, net, opts);
+    sp.setFaultInjector(&faults);
+    obs::TraceRecorder inl_rec;
+    obs::ObsConfig oc;
+    oc.recorder = &inl_rec;
+    oc.frame_time = true;
+    sp.setObs(oc, 0, "cam");
+    sim::VirtualClock clk;
+    RunOptions inl_ro;
+    inl_ro.mode = ExecutionMode::Inline;
+    inl_ro.clock = &clk;
+    const RuntimeReport inl = sp.run(inl_ro);
+
+    EXPECT_GT(des.ledger.tx_losses, 0);
+    EXPECT_GT(des.ledger.dropped_link, 0);
+    EXPECT_GT(des.ledger.backoff_seconds, 0.0);
+    const double e_ref = inl.comm_energy.j();
+    EXPECT_NEAR(des.comm_energy.j(), e_ref, 1e-12 * e_ref);
+    const double r_ref = inl.ledger.retry_energy.j();
+    EXPECT_NEAR(des.ledger.retry_energy.j(), r_ref, 1e-12 * r_ref);
+    LossLedger des_counts = des.ledger;
+    des_counts.retry_energy = inl.ledger.retry_energy; // compared above
+    expectSameLedger(des_counts, inl.ledger);
+    EXPECT_EQ(des.delivered_frames, inl.delivered_frames);
+    EXPECT_DOUBLE_EQ(des.link.bytes_sent.b(), inl.link.bytes_sent.b());
+
+    const std::string des_json = obs::chromeTraceJson(des_rec);
+    const std::string inl_json = obs::chromeTraceJson(inl_rec);
+    EXPECT_EQ(des_rec.dropped(), 0);
+    EXPECT_TRUE(des_json == inl_json)
+        << "discrete-event " << des_json.size() << " bytes vs inline "
+        << inl_json.size();
+    EXPECT_NE(des_json.find("tx_backoff"), std::string::npos);
 }
 
 TEST(Sim, ScalesFarBeyondTheThreadPoolCap)

@@ -42,6 +42,16 @@ The codebase keeps several invariants that no compiler checks:
                     the other token rules, this one is *restricted to*
                     a path prefix rather than allowing exceptions.
 
+  fault-draws       Under src/, the fault plan's draws — txLost(),
+                    backoffJitter(), stageFaulted(), stageSlowdown(),
+                    cameraDown() — are called only from
+                    src/runtime/runtime.cc (the one attempt, stage and
+                    source rule every execution shape runs) and from
+                    src/fault/ itself. A second call site would apply
+                    the plan under a rule of its own, and execution
+                    shapes would book different ledgers for the same
+                    draws.
+
 Suppression: append `// lint:allow(rule)` (or `lint:allow(rule1,rule2)`)
 to the offending line, with a reason after a colon if you like:
 
@@ -70,12 +80,15 @@ ALLOWED = {
     "wall-clock": ("src/sim/clock.hh", "src/sim/clock.cc"),
     "rng": ("src/common/rng.hh",),
     "raw-mutex": ("src/common/thread_safety.hh",),
+    # An entry ending in "/" allows every file under that directory.
+    "fault-draws": ("src/runtime/runtime.cc", "src/fault/"),
 }
 
 # Rules that only apply to files whose path contains one of the given
 # prefixes (the inverse of ALLOWED: scoped bans instead of exemptions).
 RESTRICTED = {
     "obs-clock": ("src/obs/",),
+    "fault-draws": ("src/",),
 }
 
 TOKEN_RULES = {
@@ -111,6 +124,10 @@ TOKEN_RULES = {
         (re.compile(r"\btime\s*\(\s*(NULL|nullptr|0)?\s*\)"),
          "C time()"),
     ],
+    "fault-draws": [
+        (re.compile(r"\b(txLost|backoffJitter|stageFaulted|stageSlowdown"
+                    r"|cameraDown)\s*\("), "fault-plan draw"),
+    ],
 }
 
 TOKEN_HINTS = {
@@ -123,6 +140,10 @@ TOKEN_HINTS = {
     "obs-clock": "src/obs/ never reads host time: timestamps are "
                  "arguments stamped off the run's sim::Clock, the "
                  "byte-identical-trace determinism boundary",
+    "fault-draws": "the fault plan is drawn only by the runtime's "
+                   "shared attempt, stage and source rule in "
+                   "src/runtime/runtime.cc, so every execution shape "
+                   "books the same draws",
 }
 
 LEDGER_WRITE = re.compile(
@@ -224,7 +245,8 @@ def norm(path):
 def is_allowed(path, rule):
     suffixes = ALLOWED.get(rule, ())
     p = norm(path)
-    return any(p.endswith(s) for s in suffixes)
+    return any(p.endswith(s) or (s.endswith("/") and s in p)
+               for s in suffixes)
 
 
 def in_scope(path, rule):
